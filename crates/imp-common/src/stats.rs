@@ -162,6 +162,42 @@ impl PrefetchStats {
     pub fn issued(&self) -> u64 {
         self.issued_stream + self.issued_indirect
     }
+
+    /// Adds `other`'s counters into `self`, field by field. The
+    /// destructure has no `..`, so a new field fails to compile until
+    /// it is folded here.
+    pub fn merge(&mut self, other: &PrefetchStats) {
+        let PrefetchStats {
+            issued_stream,
+            issued_indirect,
+            useful,
+            unused,
+            late,
+            covered,
+            patterns_detected,
+            detect_failures,
+            partial_prefetches,
+            value_unavailable,
+            deferred_drops,
+            deferred_retries,
+            mshr_drops,
+            generated_indirect,
+        } = other;
+        self.issued_stream += issued_stream;
+        self.issued_indirect += issued_indirect;
+        self.useful += useful;
+        self.unused += unused;
+        self.late += late;
+        self.covered += covered;
+        self.patterns_detected += patterns_detected;
+        self.detect_failures += detect_failures;
+        self.partial_prefetches += partial_prefetches;
+        self.value_unavailable += value_unavailable;
+        self.deferred_drops += deferred_drops;
+        self.deferred_retries += deferred_retries;
+        self.mshr_drops += mshr_drops;
+        self.generated_indirect += generated_indirect;
+    }
 }
 
 /// Per-core dTLB and page-walk statistics.
@@ -307,20 +343,7 @@ impl SystemStats {
     pub fn prefetch_total(&self) -> PrefetchStats {
         let mut t = PrefetchStats::default();
         for p in &self.prefetch {
-            t.issued_stream += p.issued_stream;
-            t.issued_indirect += p.issued_indirect;
-            t.useful += p.useful;
-            t.unused += p.unused;
-            t.late += p.late;
-            t.covered += p.covered;
-            t.patterns_detected += p.patterns_detected;
-            t.detect_failures += p.detect_failures;
-            t.partial_prefetches += p.partial_prefetches;
-            t.value_unavailable += p.value_unavailable;
-            t.deferred_drops += p.deferred_drops;
-            t.deferred_retries += p.deferred_retries;
-            t.mshr_drops += p.mshr_drops;
-            t.generated_indirect += p.generated_indirect;
+            t.merge(p);
         }
         t
     }
@@ -410,6 +433,58 @@ mod tests {
         let z = PrefetchStats::default();
         assert_eq!(z.coverage(0), 0.0);
         assert_eq!(z.accuracy(), 0.0);
+    }
+
+    #[test]
+    fn prefetch_merge_adds_every_field() {
+        let a = PrefetchStats {
+            issued_stream: 1,
+            issued_indirect: 2,
+            useful: 3,
+            unused: 4,
+            late: 5,
+            covered: 6,
+            patterns_detected: 7,
+            detect_failures: 8,
+            partial_prefetches: 9,
+            value_unavailable: 10,
+            deferred_drops: 11,
+            deferred_retries: 12,
+            mshr_drops: 13,
+            generated_indirect: 14,
+        };
+        let b = PrefetchStats {
+            issued_stream: 100,
+            issued_indirect: 200,
+            useful: 300,
+            unused: 400,
+            late: 500,
+            covered: 600,
+            patterns_detected: 700,
+            detect_failures: 800,
+            partial_prefetches: 900,
+            value_unavailable: 1000,
+            deferred_drops: 1100,
+            deferred_retries: 1200,
+            mshr_drops: 1300,
+            generated_indirect: 1400,
+        };
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(sum.issued_stream, 101);
+        assert_eq!(sum.issued_indirect, 202);
+        assert_eq!(sum.useful, 303);
+        assert_eq!(sum.unused, 404);
+        assert_eq!(sum.late, 505);
+        assert_eq!(sum.covered, 606);
+        assert_eq!(sum.patterns_detected, 707);
+        assert_eq!(sum.detect_failures, 808);
+        assert_eq!(sum.partial_prefetches, 909);
+        assert_eq!(sum.value_unavailable, 1010);
+        assert_eq!(sum.deferred_drops, 1111);
+        assert_eq!(sum.deferred_retries, 1212);
+        assert_eq!(sum.mshr_drops, 1313);
+        assert_eq!(sum.generated_indirect, 1414);
     }
 
     #[test]

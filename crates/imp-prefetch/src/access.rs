@@ -85,11 +85,6 @@ pub enum PrefetchKind {
 }
 
 impl PrefetchKind {
-    /// Pre-rename alias for [`PrefetchKind::Sequential`].
-    #[deprecated(note = "renamed to `PrefetchKind::Sequential`")]
-    #[allow(non_upper_case_globals)]
-    pub const Stream: PrefetchKind = PrefetchKind::Sequential;
-
     /// The request's 1-based chain hop (0 for sequential prefetches,
     /// which trail the demand stream rather than chasing values).
     pub fn hop(self) -> u8 {
@@ -208,19 +203,41 @@ pub struct PrefetcherStats {
     /// Deferred indirect prefetches successfully retried after their
     /// index line filled.
     pub deferred_retries: u64,
-    /// Prefetches refused by a full MSHR file (set by the simulator).
-    pub mshr_drops: u64,
     /// Translation-only chain-ahead requests emitted at the depth-k
     /// data frontier (one hop beyond the deepest data prefetch).
     pub translation_ahead: u64,
-    /// Diagnostic: index-stream accesses seen as continued+established.
-    pub dbg_continued: u64,
-    /// Diagnostic: of those, accesses whose own value was unreadable.
-    pub dbg_own_value_miss: u64,
-    /// Diagnostic: of those, accesses with an enabled indirect pattern.
-    pub dbg_enabled: u64,
-    /// Diagnostic: of those, accesses with prefetching active.
-    pub dbg_prefetching: u64,
+}
+
+impl PrefetcherStats {
+    /// Adds `other`'s counters into `self`, field by field. The
+    /// destructure has no `..`, so a new field fails to compile until
+    /// it is folded here.
+    pub fn merge(&mut self, other: &PrefetcherStats) {
+        let PrefetcherStats {
+            stream_prefetches,
+            indirect_prefetches,
+            patterns_detected,
+            detect_failures,
+            ways_detected,
+            levels_detected,
+            partial_prefetches,
+            value_unavailable,
+            deferred_drops,
+            deferred_retries,
+            translation_ahead,
+        } = other;
+        self.stream_prefetches += stream_prefetches;
+        self.indirect_prefetches += indirect_prefetches;
+        self.patterns_detected += patterns_detected;
+        self.detect_failures += detect_failures;
+        self.ways_detected += ways_detected;
+        self.levels_detected += levels_detected;
+        self.partial_prefetches += partial_prefetches;
+        self.value_unavailable += value_unavailable;
+        self.deferred_drops += deferred_drops;
+        self.deferred_retries += deferred_retries;
+        self.translation_ahead += translation_ahead;
+    }
 }
 
 /// Everything a prefetcher hook may touch, bundled so the hot path
@@ -228,9 +245,8 @@ pub struct PrefetcherStats {
 /// triggering PC, the access class of the triggering request, a value
 /// source for index reads, and an observability handle.
 ///
-/// This folds the old `on_access`/`*_collect` dual surface into one
-/// context type: callers build a `PrefetchCtx` over their pooled
-/// buffer and hand it to [`L1Prefetcher::on_access_ctx`] /
+/// Callers build a `PrefetchCtx` over their pooled buffer and hand it
+/// to [`L1Prefetcher::on_access_ctx`] /
 /// [`L1Prefetcher::on_prefetch_fill_ctx`].
 pub struct PrefetchCtx<'a> {
     /// PC of the access or request that triggered this hook.
@@ -291,13 +307,9 @@ pub fn class_of(kind: PrefetchKind) -> AccessClass {
 ///
 /// # Which hooks to implement
 ///
-/// Implement **exactly one** of [`on_access_ctx`] (preferred) or the
-/// deprecated [`on_access`]: each one's default forwards to the other,
-/// so a type overriding neither recurses. Existing plugins that
-/// implement the pre-context hooks (`on_access`, `on_prefetch_fill`)
-/// keep compiling and keep working — the simulator calls the `_ctx`
-/// hooks, whose defaults forward to the old signatures — but get a
-/// deprecation warning nudging them toward the context form.
+/// [`on_access_ctx`] and [`stats`] are required. Every other hook has a
+/// default that does nothing, so a plain prefetcher implements just
+/// those two.
 ///
 /// # Feedback
 ///
@@ -306,22 +318,18 @@ pub fn class_of(kind: PrefetchKind) -> AccessClass {
 /// throttling via [`Control`]. The default ignores feedback.
 ///
 /// [`on_access_ctx`]: L1Prefetcher::on_access_ctx
-/// [`on_access`]: L1Prefetcher::on_access
+/// [`stats`]: L1Prefetcher::stats
 /// [`on_feedback`]: L1Prefetcher::on_feedback
 pub trait L1Prefetcher {
     /// Observes one demand access (hit or miss), pushing any prefetches
     /// to issue onto `ctx.out` (which is not cleared first).
-    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
-        #[allow(deprecated)] // forwards to the legacy hook for old plugins
-        self.on_access(access, ctx.values, ctx.out);
-    }
+    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>);
 
     /// Notifies that a previously issued prefetch has filled the L1,
     /// pushing any follow-on prefetches (multi-level indirection) onto
     /// `ctx.out`.
     fn on_prefetch_fill_ctx(&mut self, request: PrefetchRequest, ctx: &mut PrefetchCtx<'_>) {
-        #[allow(deprecated)] // forwards to the legacy hook for old plugins
-        self.on_prefetch_fill(request, ctx.values, ctx.out);
+        let _ = (request, ctx);
     }
 
     /// Receives one epoch's [`Feedback`] digest from the adaptive
@@ -332,65 +340,6 @@ pub trait L1Prefetcher {
     fn on_feedback(&mut self, feedback: &Feedback) -> Control {
         let _ = feedback;
         Control::none()
-    }
-
-    /// Legacy demand-access hook.
-    #[deprecated(note = "implement `on_access_ctx(access, &mut PrefetchCtx)` instead")]
-    fn on_access(
-        &mut self,
-        access: Access,
-        values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, values, out, &probe);
-        self.on_access_ctx(access, &mut ctx);
-    }
-
-    /// Legacy fill hook. Unlike [`L1Prefetcher::on_access`] this does
-    /// **not** forward to the context form (its historical default was
-    /// a no-op, and forwarding both ways would recurse); new code
-    /// should call and implement [`L1Prefetcher::on_prefetch_fill_ctx`].
-    #[deprecated(note = "implement `on_prefetch_fill_ctx(request, &mut PrefetchCtx)` instead")]
-    fn on_prefetch_fill(
-        &mut self,
-        request: PrefetchRequest,
-        values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        let _ = (request, values, out);
-    }
-
-    /// [`L1Prefetcher::on_access_ctx`], collecting into a fresh `Vec`.
-    #[deprecated(note = "build a `PrefetchCtx` over your own buffer and call `on_access_ctx`")]
-    fn on_access_collect(
-        &mut self,
-        access: Access,
-        values: &mut dyn IndexValueSource,
-    ) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, values, &mut out, &probe);
-        self.on_access_ctx(access, &mut ctx);
-        out
-    }
-
-    /// [`L1Prefetcher::on_prefetch_fill_ctx`], collecting into a fresh
-    /// `Vec`.
-    #[deprecated(
-        note = "build a `PrefetchCtx` over your own buffer and call `on_prefetch_fill_ctx`"
-    )]
-    fn on_prefetch_fill_collect(
-        &mut self,
-        request: PrefetchRequest,
-        values: &mut dyn IndexValueSource,
-    ) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx =
-            PrefetchCtx::new(request.pc, class_of(request.kind), values, &mut out, &probe);
-        self.on_prefetch_fill_ctx(request, &mut ctx);
-        out
     }
 
     /// Notifies that the L1 evicted `line` (feeds the Granularity
@@ -430,59 +379,70 @@ impl L1Prefetcher for NullPrefetcher {
     }
 }
 
+/// Test helper: runs one hook over a fresh context and returns what it
+/// emitted, e.g. `collect(&mut src, |cx| pf.on_access_ctx(access, cx))`.
+#[cfg(test)]
+pub(crate) fn collect(
+    values: &mut dyn IndexValueSource,
+    hook: impl FnOnce(&mut PrefetchCtx<'_>),
+) -> Vec<PrefetchRequest> {
+    let mut out = Vec::new();
+    let probe = CoreProbe::disabled();
+    hook(&mut PrefetchCtx::new(
+        Pc::new(0),
+        AccessClass::Other,
+        values,
+        &mut out,
+        &probe,
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
-    // Deliberate: the deprecated shim surface must keep working for
-    // out-of-crate plugins; exercising it here keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
 
-    /// A pre-context-API plugin: overrides only the legacy `on_access`
-    /// signature. The `_ctx` defaults must route to it unchanged.
-    struct LegacyNextLine {
-        stats: PrefetcherStats,
-    }
-
-    impl L1Prefetcher for LegacyNextLine {
-        fn on_access(
-            &mut self,
-            access: Access,
-            _values: &mut dyn IndexValueSource,
-            out: &mut Vec<PrefetchRequest>,
-        ) {
-            out.push(PrefetchRequest {
-                pc: access.pc,
-                addr: Addr::new(access.addr.raw() + 64),
-                sectors: SectorMask::FULL_L1,
-                exclusive: false,
-                // The pre-rename alias must keep resolving for legacy
-                // plugins (and keep warning; see CI's force-warn step).
-                kind: PrefetchKind::Stream,
-            });
-        }
-
-        fn stats(&self) -> &PrefetcherStats {
-            &self.stats
-        }
-    }
-
     #[test]
-    fn legacy_hooks_are_reached_through_the_ctx_surface() {
-        let mut p = LegacyNextLine {
-            stats: PrefetcherStats::default(),
+    fn merge_adds_every_field() {
+        let a = PrefetcherStats {
+            stream_prefetches: 1,
+            indirect_prefetches: 2,
+            patterns_detected: 3,
+            detect_failures: 4,
+            ways_detected: 5,
+            levels_detected: 6,
+            partial_prefetches: 7,
+            value_unavailable: 8,
+            deferred_drops: 9,
+            deferred_retries: 10,
+            translation_ahead: 11,
         };
-        let mut s = MapValueSource::new();
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(Pc::new(1), AccessClass::Other, &mut s, &mut out, &probe);
-        p.on_access_ctx(Access::load_miss(Pc::new(1), Addr::new(128), 8), &mut ctx);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].addr, Addr::new(192));
-        // And the collect shim routes through the ctx surface too.
-        let reqs = p.on_access_collect(Access::load_miss(Pc::new(1), Addr::new(256), 8), &mut s);
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].addr, Addr::new(320));
+        let b = PrefetcherStats {
+            stream_prefetches: 100,
+            indirect_prefetches: 200,
+            patterns_detected: 300,
+            detect_failures: 400,
+            ways_detected: 500,
+            levels_detected: 600,
+            partial_prefetches: 700,
+            value_unavailable: 800,
+            deferred_drops: 900,
+            deferred_retries: 1000,
+            translation_ahead: 1100,
+        };
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(sum.stream_prefetches, 101);
+        assert_eq!(sum.indirect_prefetches, 202);
+        assert_eq!(sum.patterns_detected, 303);
+        assert_eq!(sum.detect_failures, 404);
+        assert_eq!(sum.ways_detected, 505);
+        assert_eq!(sum.levels_detected, 606);
+        assert_eq!(sum.partial_prefetches, 707);
+        assert_eq!(sum.value_unavailable, 808);
+        assert_eq!(sum.deferred_drops, 909);
+        assert_eq!(sum.deferred_retries, 1010);
+        assert_eq!(sum.translation_ahead, 1111);
     }
 
     #[test]
@@ -498,7 +458,9 @@ mod tests {
     fn null_prefetcher_is_silent() {
         let mut p = NullPrefetcher::new();
         let mut s = MapValueSource::new();
-        let reqs = p.on_access_collect(Access::load_miss(Pc::new(1), Addr::new(64), 8), &mut s);
+        let reqs = collect(&mut s, |cx| {
+            p.on_access_ctx(Access::load_miss(Pc::new(1), Addr::new(64), 8), cx)
+        });
         assert!(reqs.is_empty());
         assert_eq!(p.stats().stream_prefetches, 0);
     }
@@ -538,7 +500,7 @@ mod tests {
         assert_eq!(PrefetchKind::Sequential.hop(), 0);
         assert_eq!(PrefetchKind::Indirect { pt: 0, hop: 2 }.hop(), 2);
         assert_eq!(PrefetchKind::TranslationOnly { hop: 4 }.hop(), 4);
-        assert_eq!(PrefetchKind::Stream, PrefetchKind::Sequential);
+        // Sequential prefetches are accounted under the Stream class.
         assert_eq!(class_of(PrefetchKind::Sequential), AccessClass::Stream);
         assert_eq!(
             class_of(PrefetchKind::TranslationOnly { hop: 3 }),

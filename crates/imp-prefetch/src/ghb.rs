@@ -130,12 +130,8 @@ impl L1Prefetcher for Ghb {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{collect, MapValueSource};
     use imp_common::{Addr, Pc};
 
     fn miss(addr: u64) -> Access {
@@ -151,7 +147,7 @@ mod tests {
         let mut correlated = 0;
         for pass in 0..2 {
             for &a in &pattern {
-                let reqs = g.on_access_collect(miss(a), &mut v);
+                let reqs = collect(&mut v, |cx| g.on_access_ctx(miss(a), cx));
                 if pass == 1 {
                     correlated += reqs.len();
                 }
@@ -172,8 +168,7 @@ mod tests {
             // Strictly fresh miss addresses, far apart (beyond stream
             // prefetcher interest: random page-sized jumps).
             let a = 0x100000 + i * 8192 + (i * i) % 64;
-            total += g
-                .on_access_collect(miss(a), &mut v)
+            total += collect(&mut v, |cx| g.on_access_ctx(miss(a), cx))
                 .iter()
                 .filter(|r| r.addr.raw() != a)
                 .count();
@@ -194,14 +189,15 @@ mod tests {
         // other misses; re-walking the pattern must not correlate.
         let pattern = [0x1000u64, 0x2000, 0x3000];
         for &a in &pattern {
-            g.on_access_collect(miss(a), &mut v);
+            collect(&mut v, |cx| g.on_access_ctx(miss(a), cx));
         }
         for i in 0..16u64 {
-            g.on_access_collect(miss(0x100_0000 + i * 4096), &mut v);
+            let access = miss(0x100_0000 + i * 4096);
+            collect(&mut v, |cx| g.on_access_ctx(access, cx));
         }
         let before = g.stats().indirect_prefetches;
         for &a in &pattern {
-            g.on_access_collect(miss(a), &mut v);
+            collect(&mut v, |cx| g.on_access_ctx(miss(a), cx));
         }
         let correlated = g.stats().indirect_prefetches - before;
         assert_eq!(correlated, 0, "history evicted: no stale correlations");

@@ -113,17 +113,7 @@ impl Hybrid {
     fn refresh_stats(&mut self) {
         let mut merged = PrefetcherStats::default();
         for c in &self.components {
-            let s = c.stats();
-            merged.patterns_detected += s.patterns_detected;
-            merged.detect_failures += s.detect_failures;
-            merged.ways_detected += s.ways_detected;
-            merged.levels_detected += s.levels_detected;
-            merged.partial_prefetches += s.partial_prefetches;
-            merged.value_unavailable += s.value_unavailable;
-            merged.deferred_drops += s.deferred_drops;
-            merged.deferred_retries += s.deferred_retries;
-            merged.mshr_drops += s.mshr_drops;
-            merged.translation_ahead += s.translation_ahead;
+            merged.merge(c.stats());
         }
         merged.stream_prefetches = self.forwarded_stream;
         merged.indirect_prefetches = self.forwarded_indirect;
@@ -223,12 +213,8 @@ impl L1Prefetcher for Hybrid {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::{MapValueSource, NullPrefetcher};
+    use crate::access::{collect, MapValueSource, NullPrefetcher};
     use crate::imp::Imp;
     use crate::stream::StreamPrefetcher;
     use imp_common::{Addr, ImpConfig};
@@ -257,14 +243,10 @@ mod tests {
             src.insert(Addr::new(b_base + 4 * i), 4, b_of(i));
         }
         for i in 0..96u64 {
-            h.on_access_collect(
-                Access::load_hit(Pc::new(1), Addr::new(b_base + 4 * i), 4),
-                &mut src,
-            );
-            h.on_access_collect(
-                Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8),
-                &mut src,
-            );
+            let access = Access::load_hit(Pc::new(1), Addr::new(b_base + 4 * i), 4);
+            collect(&mut src, |cx| h.on_access_ctx(access, cx));
+            let access = Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8);
+            collect(&mut src, |cx| h.on_access_ctx(access, cx));
         }
         // The IMP component (index 1) detected the indirect pattern and
         // must own the index PC; its prefetches were forwarded.
@@ -283,10 +265,8 @@ mod tests {
         let mut src = MapValueSource::new();
         let mut total = 0usize;
         for i in 0..64u64 {
-            let reqs = h.on_access_collect(
-                Access::load_miss(Pc::new(7), Addr::new(64 * i), 8),
-                &mut src,
-            );
+            let access = Access::load_miss(Pc::new(7), Addr::new(64 * i), 8);
+            let reqs = collect(&mut src, |cx| h.on_access_ctx(access, cx));
             total += reqs.len();
         }
         assert!(total > 0, "stream requests forwarded");
@@ -359,7 +339,8 @@ mod tests {
         ]);
         let mut src = MapValueSource::new();
         let owned = Pc::new(5);
-        let reqs = h.on_access_collect(Access::load_miss(owned, Addr::new(0x100), 8), &mut src);
+        let access = Access::load_miss(owned, Addr::new(0x100), 8);
+        let reqs = collect(&mut src, |cx| h.on_access_ctx(access, cx));
         assert_eq!(h.owner_of(owned), Some(1));
         assert_eq!(reqs.len(), 1, "only the claiming component forwards");
 
@@ -370,7 +351,7 @@ mod tests {
             exclusive: false,
             kind: PrefetchKind::Sequential,
         };
-        let chained = h.on_prefetch_fill_collect(fill(owned), &mut src);
+        let chained = collect(&mut src, |cx| h.on_prefetch_fill_ctx(fill(owned), cx));
         let addrs: Vec<Addr> = chained.iter().map(|r| r.addr).collect();
         assert_eq!(
             addrs,
@@ -378,7 +359,7 @@ mod tests {
             "latched PC: the owning component alone continues the chain"
         );
 
-        let chained = h.on_prefetch_fill_collect(fill(Pc::new(99)), &mut src);
+        let chained = collect(&mut src, |cx| h.on_prefetch_fill_ctx(fill(Pc::new(99)), cx));
         let addrs: Vec<Addr> = chained.iter().map(|r| r.addr).collect();
         assert_eq!(
             addrs,
@@ -452,7 +433,8 @@ mod tests {
             stats: PrefetcherStats::default(),
         })]);
         let mut src = MapValueSource::new();
-        let reqs = h.on_access_collect(Access::load_miss(Pc::new(1), Addr::new(0x40), 8), &mut src);
+        let access = Access::load_miss(Pc::new(1), Addr::new(0x40), 8);
+        let reqs = collect(&mut src, |cx| h.on_access_ctx(access, cx));
         let order: Vec<u8> = reqs.iter().map(|r| r.kind.hop()).collect();
         assert_eq!(
             order,
@@ -470,12 +452,8 @@ mod tests {
         let mut src = MapValueSource::new();
         let mut total = 0;
         for i in 0..32u64 {
-            total += h
-                .on_access_collect(
-                    Access::load_miss(Pc::new(3), Addr::new(64 * i), 8),
-                    &mut src,
-                )
-                .len();
+            let access = Access::load_miss(Pc::new(3), Addr::new(64 * i), 8);
+            total += collect(&mut src, |cx| h.on_access_ctx(access, cx)).len();
         }
         assert!(total > 0, "second component's streams still flow");
     }

@@ -515,18 +515,7 @@ impl L1Prefetcher for Imp {
             .entry(slot)
             .established(self.cfg.stream_threshold);
         if established && event == StreamEvent::Continued {
-            self.stats.dbg_continued += 1;
-            let own_value = values.read_value(access.addr, access.size);
-            if own_value.is_none() {
-                self.stats.dbg_own_value_miss += 1;
-            }
-            if self.ind[slot].enabled {
-                self.stats.dbg_enabled += 1;
-                if self.ind[slot].prefetching {
-                    self.stats.dbg_prefetching += 1;
-                }
-            }
-            if let Some(value) = own_value {
+            if let Some(value) = values.read_value(access.addr, access.size) {
                 if !self.ind[slot].enabled {
                     // Primary pattern detection via the IPD.
                     let owner = owner_of(slot, DetectKind::Primary);
@@ -721,12 +710,8 @@ impl L1Prefetcher for Imp {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{collect, MapValueSource};
     use imp_common::Pc;
 
     /// Builds a value source for `B[i] = perm(i)` as u32 at `b_base`.
@@ -752,15 +737,14 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             let b_addr = Addr::new(b_base + 4 * i as u64);
             let a_addr = Addr::new(a_base + 8 * v);
-            reqs.extend(imp.on_access_collect(
-                if all_miss {
-                    Access::load_miss(Pc::new(1), b_addr, 4)
-                } else {
-                    Access::load_hit(Pc::new(1), b_addr, 4)
-                },
-                src,
-            ));
-            reqs.extend(imp.on_access_collect(Access::load_miss(Pc::new(2), a_addr, 8), src));
+            let access = if all_miss {
+                Access::load_miss(Pc::new(1), b_addr, 4)
+            } else {
+                Access::load_hit(Pc::new(1), b_addr, 4)
+            };
+            reqs.extend(collect(src, |cx| imp.on_access_ctx(access, cx)));
+            let access = Access::load_miss(Pc::new(2), a_addr, 8);
+            reqs.extend(collect(src, |cx| imp.on_access_ctx(access, cx)));
         }
         reqs
     }
@@ -844,7 +828,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let addr = Addr::new(0x100000 + (x % 100_000) * 8);
             src.insert(addr, 8, x);
-            reqs.extend(imp.on_access_collect(Access::load_miss(Pc::new(9), addr, 8), &mut src));
+            let access = Access::load_miss(Pc::new(9), addr, 8);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
         }
         assert_eq!(imp.stats().indirect_prefetches, 0);
         assert_eq!(imp.stats().patterns_detected, 0);
@@ -861,15 +846,12 @@ mod tests {
         let mut imp = Imp::new(ImpConfig::paper_default(), false, 1);
         for (i, &v) in values.iter().enumerate() {
             let b_addr = Addr::new(b_base + 4 * i as u64);
-            imp.on_access_collect(Access::load_hit(Pc::new(1), b_addr, 4), &mut src);
-            imp.on_access_collect(
-                Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * v), 8),
-                &mut src,
-            );
-            imp.on_access_collect(
-                Access::load_miss(Pc::new(3), Addr::new(c_base + 4 * v), 4),
-                &mut src,
-            );
+            let access = Access::load_hit(Pc::new(1), b_addr, 4);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
+            let access = Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * v), 8);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
+            let access = Access::load_miss(Pc::new(3), Addr::new(c_base + 4 * v), 4);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
         }
         assert!(imp.stats().ways_detected >= 1, "second way detected");
         // Both bases appear among enabled patterns.
@@ -904,24 +886,18 @@ mod tests {
         let mut chained = Vec::new();
         for (i, &c) in c_vals.iter().enumerate() {
             let mut reqs = Vec::new();
-            reqs.extend(imp.on_access_collect(
-                Access::load_hit(Pc::new(1), Addr::new(c_base + 4 * i as u64), 4),
-                &mut src,
-            ));
-            reqs.extend(imp.on_access_collect(
-                Access::load_miss(Pc::new(2), Addr::new(b_base + 4 * c), 4),
-                &mut src,
-            ));
-            reqs.extend(imp.on_access_collect(
-                Access::load_miss(Pc::new(3), Addr::new(a_base + 8 * b_of(c)), 8),
-                &mut src,
-            ));
+            let access = Access::load_hit(Pc::new(1), Addr::new(c_base + 4 * i as u64), 4);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
+            let access = Access::load_miss(Pc::new(2), Addr::new(b_base + 4 * c), 4);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
+            let access = Access::load_miss(Pc::new(3), Addr::new(a_base + 8 * b_of(c)), 8);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
             // Simulate fills completing promptly.
             for r in reqs.drain(..) {
                 fills.push(r);
             }
             for f in fills.drain(..) {
-                chained.extend(imp.on_prefetch_fill_collect(f, &mut src));
+                chained.extend(collect(&mut src, |cx| imp.on_prefetch_fill_ctx(f, cx)));
             }
         }
         assert!(imp.stats().levels_detected >= 1, "second level detected");
@@ -944,19 +920,21 @@ mod tests {
         for (i, &v) in values[..32].iter().enumerate() {
             let b_addr = Addr::new(b_base + 4 * i as u64);
             let a_addr = Addr::new(a_base + 8 * v);
-            for r in imp.on_access_collect(Access::load_hit(Pc::new(1), b_addr, 4), &mut src) {
+            let access = Access::load_hit(Pc::new(1), b_addr, 4);
+            for r in collect(&mut src, |cx| imp.on_access_ctx(access, cx)) {
                 if r.kind == PrefetchKind::Sequential && r.addr.raw() >= b_base + 4 * 32 {
                     deferred_stream_req = Some(r);
                 }
             }
-            imp.on_access_collect(Access::load_miss(Pc::new(2), a_addr, 8), &mut src);
+            let access = Access::load_miss(Pc::new(2), a_addr, 8);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
         }
         let req = deferred_stream_req.expect("IMP prefetched the missing index line");
         // Now the index values "arrive": populate and signal the fill.
         for (i, &v) in values.iter().enumerate() {
             src.insert(Addr::new(b_base + 4 * i as u64), 4, v);
         }
-        let chained = imp.on_prefetch_fill_collect(req, &mut src);
+        let chained = collect(&mut src, |cx| imp.on_prefetch_fill_ctx(req, cx));
         assert!(
             chained
                 .iter()
@@ -977,10 +955,10 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             let b_addr = Addr::new(b_base + 4 * i as u64);
             let a_addr = Addr::new(a_base + 8 * v);
-            reqs.extend(imp.on_access_collect(Access::load_hit(Pc::new(1), b_addr, 4), &mut src));
-            reqs.extend(
-                imp.on_access_collect(Access::store(Pc::new(2), a_addr, 8, true), &mut src),
-            );
+            let access = Access::load_hit(Pc::new(1), b_addr, 4);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
+            let access = Access::store(Pc::new(2), a_addr, 8, true);
+            reqs.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
         }
         let last_indirect = reqs
             .iter()
@@ -1003,13 +981,13 @@ mod tests {
         for i in 0..4096u64 {
             let b_addr = Addr::new(0x10000 + 4 * i);
             src.insert(b_addr, 4, i);
-            imp.on_access_collect(Access::load_hit(Pc::new(1), b_addr, 4), &mut src);
+            let access = Access::load_hit(Pc::new(1), b_addr, 4);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
             // Random misses decorrelated from i.
             x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            imp.on_access_collect(
-                Access::load_miss(Pc::new(2), Addr::new(0x40_000_000 + (x % (1 << 22))), 8),
-                &mut src,
-            );
+            let access =
+                Access::load_miss(Pc::new(2), Addr::new(0x40_000_000 + (x % (1 << 22))), 8);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
         }
         let f = imp.stats().detect_failures;
         assert!(f >= 2, "detection attempted and failed (failures = {f})");
@@ -1032,8 +1010,10 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             let b_addr = Addr::new(b_base + 4 * i as u64);
             let a_addr = Addr::new(a_base + 8 * v);
-            let reqs = imp.on_access_collect(Access::load_hit(Pc::new(1), b_addr, 4), &mut src);
-            imp.on_access_collect(Access::load_miss(Pc::new(2), a_addr, 8), &mut src);
+            let access = Access::load_hit(Pc::new(1), b_addr, 4);
+            let reqs = collect(&mut src, |cx| imp.on_access_ctx(access, cx));
+            let access = Access::load_miss(Pc::new(2), a_addr, 8);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
             // Feed the GP: every prefetched line gets exactly one sector
             // touched, then evicted.
             for r in reqs {
@@ -1081,20 +1061,16 @@ mod tests {
         let mut all = Vec::new();
         for i in 0..iters {
             let mut queue: Vec<PrefetchRequest> = Vec::new();
-            queue.extend(imp.on_access_collect(
-                Access::load_hit(Pc::new(1), Addr::new(bases[0] + 4 * i), 4),
-                &mut src,
-            ));
+            let access = Access::load_hit(Pc::new(1), Addr::new(bases[0] + 4 * i), 4);
+            queue.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
             for (k, &addr) in per_iter[i as usize].iter().enumerate() {
-                queue.extend(imp.on_access_collect(
-                    Access::load_miss(Pc::new(2 + k as u32), addr, 8),
-                    &mut src,
-                ));
+                let access = Access::load_miss(Pc::new(2 + k as u32), addr, 8);
+                queue.extend(collect(&mut src, |cx| imp.on_access_ctx(access, cx)));
             }
             while let Some(r) = queue.pop() {
                 all.push(r);
                 if !r.kind.is_translation_only() {
-                    queue.extend(imp.on_prefetch_fill_collect(r, &mut src));
+                    queue.extend(collect(&mut src, |cx| imp.on_prefetch_fill_ctx(r, cx)));
                 }
             }
         }
@@ -1171,7 +1147,8 @@ mod tests {
             for i in 0..32u64 {
                 let addr = Addr::new(0x10000 + u64::from(pc) * 0x10000 + 4 * i);
                 src.insert(addr, 4, i);
-                imp.on_access_collect(Access::load_hit(Pc::new(pc + 1), addr, 4), &mut src);
+                let access = Access::load_hit(Pc::new(pc + 1), addr, 4);
+                collect(&mut src, |cx| imp.on_access_ctx(access, cx));
             }
         }
         assert!(imp.enabled_patterns() <= 4);

@@ -68,17 +68,12 @@
 //! assert!(prefetched);
 //! ```
 //!
-//! # Migrating from the pre-context hooks
+//! # Implementing a prefetcher
 //!
-//! Prefetchers written against the old surface — `on_access(access,
-//! values, out)` / `on_prefetch_fill(request, values, out)` and the
-//! `*_collect` wrappers — **keep compiling and keep working**: the new
-//! `_ctx` hooks default to forwarding into the old signatures, which
-//! are retained as `#[deprecated]` shims. To migrate, move each
-//! override to the context form (`values` becomes `ctx.values`, `out`
-//! becomes `ctx.out`) and replace `*_collect` calls with a
-//! [`PrefetchCtx`] over your own buffer; implement exactly one of each
-//! hook pair — the defaults forward to each other.
+//! [`L1Prefetcher::on_access_ctx`] and [`L1Prefetcher::stats`] are
+//! required; the fill, eviction, demand-touch and feedback hooks default
+//! to doing nothing. Read index values through `ctx.values` and push
+//! requests onto `ctx.out` (or call [`PrefetchCtx::emit`]).
 
 mod access;
 pub mod cost;

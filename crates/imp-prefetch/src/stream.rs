@@ -302,12 +302,8 @@ impl L1Prefetcher for StreamPrefetcher {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{collect, MapValueSource};
 
     #[test]
     fn shift_apply_matches_coefficients() {
@@ -350,8 +346,8 @@ mod tests {
         let pc = Pc::new(3);
         let mut lines = Vec::new();
         for k in 0..40u64 {
-            let reqs =
-                p.on_access_collect(Access::load_hit(pc, Addr::new(0x4000 + 4 * k), 4), &mut v);
+            let access = Access::load_hit(pc, Addr::new(0x4000 + 4 * k), 4);
+            let reqs = collect(&mut v, |cx| p.on_access_ctx(access, cx));
             lines.extend(reqs.iter().map(|r| r.line()));
         }
         assert!(!lines.is_empty());

@@ -3,13 +3,31 @@
 //! IMP must prefetch real future targets — for every supported shift and
 //! arbitrary index contents.
 
-// The deprecated `*_collect` shims must keep working; exercising them
-// here keeps them covered.
-#![allow(deprecated)]
-
+use imp_common::stats::AccessClass;
 use imp_common::{Addr, ImpConfig, Pc};
-use imp_prefetch::{shift_apply, Access, Imp, Ipd, L1Prefetcher, MapValueSource, PrefetchKind};
+use imp_obs::CoreProbe;
+use imp_prefetch::{
+    shift_apply, Access, Imp, IndexValueSource, Ipd, L1Prefetcher, MapValueSource, PrefetchCtx,
+    PrefetchKind, PrefetchRequest,
+};
 use proptest::prelude::*;
+
+/// Runs one hook over a fresh context and returns what it emitted.
+fn collect(
+    values: &mut dyn IndexValueSource,
+    hook: impl FnOnce(&mut PrefetchCtx<'_>),
+) -> Vec<PrefetchRequest> {
+    let mut out = Vec::new();
+    let probe = CoreProbe::disabled();
+    hook(&mut PrefetchCtx::new(
+        Pc::new(0),
+        AccessClass::Other,
+        values,
+        &mut out,
+        &probe,
+    ));
+    out
+}
 
 proptest! {
     /// IPD solves Eq. (2) for arbitrary index values and bases, for all
@@ -65,10 +83,8 @@ proptest! {
         let targets: std::collections::BTreeSet<u64> =
             (0..n).map(|i| a_base + 8 * b_of(i)).collect();
         for i in 0..n {
-            let reqs = imp.on_access_collect(
-                Access::load_hit(Pc::new(1), Addr::new(b_base + 4 * i), 4),
-                &mut src,
-            );
+            let access = Access::load_hit(Pc::new(1), Addr::new(b_base + 4 * i), 4);
+            let reqs = collect(&mut src, |cx| imp.on_access_ctx(access, cx));
             for r in &reqs {
                 if let PrefetchKind::Indirect { .. } = r.kind {
                     prop_assert!(
@@ -78,10 +94,8 @@ proptest! {
                     );
                 }
             }
-            imp.on_access_collect(
-                Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8),
-                &mut src,
-            );
+            let access = Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8);
+            collect(&mut src, |cx| imp.on_access_ctx(access, cx));
         }
     }
 
@@ -119,15 +133,15 @@ proptest! {
                 Access::load_hit(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8)
             };
             for acc in [idx, tgt] {
-                let a = plain.on_access_collect(acc, &mut src);
-                let b = pinned.on_access_collect(acc, &mut src);
+                let a = collect(&mut src, |cx| plain.on_access_ctx(acc, cx));
+                let b = collect(&mut src, |cx| pinned.on_access_ctx(acc, cx));
                 prop_assert_eq!(&a, &b);
                 // Propagate every fill through both detectors — the
                 // chain-extension logic only runs here.
                 let mut queue = a;
                 while let Some(r) = queue.pop() {
-                    let fa = plain.on_prefetch_fill_collect(r, &mut src);
-                    let fb = pinned.on_prefetch_fill_collect(r, &mut src);
+                    let fa = collect(&mut src, |cx| plain.on_prefetch_fill_ctx(r, cx));
+                    let fb = collect(&mut src, |cx| pinned.on_prefetch_fill_ctx(r, cx));
                     prop_assert_eq!(&fa, &fb);
                     queue.extend(fa);
                 }

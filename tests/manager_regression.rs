@@ -71,6 +71,14 @@ fn tree_switch_leaf_swaps_models_without_losing_stats() {
         switched.prefetch_total().issued_stream > 0,
         "post-switch stream model never ran"
     );
+    // The stream model neither detects nor generates indirect requests,
+    // so these counts can only come from the replaced IMP models.
+    let t = switched.prefetch_total();
+    assert!(t.detect_failures > 0, "pre-switch IPD failures dropped");
+    assert!(
+        t.issued_indirect > 0 && t.generated_indirect >= t.issued_indirect,
+        "pre-switch generated indirect requests dropped: {t:?}"
+    );
 }
 
 /// Manager identity lives in the canonical input: unmanaged keeps the

@@ -3,10 +3,9 @@
 //! grids are identical single- vs multi-threaded.
 
 use imp::common::{LineAddr, SectorMask};
+use imp::obs::CoreProbe;
 use imp::prefetch::registry::{self, RegistryError};
-use imp::prefetch::{
-    Access, IndexValueSource, L1Prefetcher, PrefetchKind, PrefetchRequest, PrefetcherStats,
-};
+use imp::prefetch::{PrefetchKind, PrefetcherStats};
 use imp::prelude::*;
 use imp::sim::System;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,19 +18,14 @@ struct NextLine {
 }
 
 impl L1Prefetcher for NextLine {
-    fn on_access(
-        &mut self,
-        access: Access,
-        _values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
+    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
         if !access.miss {
             return;
         }
         self.stats.stream_prefetches += 1;
         self.issued.fetch_add(1, Ordering::Relaxed);
         let next = LineAddr::containing(access.addr).number() + 1;
-        out.push(PrefetchRequest {
+        ctx.emit(PrefetchRequest {
             pc: access.pc,
             addr: LineAddr::from_line_number(next).base(),
             sectors: SectorMask::FULL_L1,
@@ -45,38 +39,30 @@ impl L1Prefetcher for NextLine {
     }
 }
 
-fn register_next_line() -> Arc<AtomicU64> {
-    static ISSUED: std::sync::OnceLock<Arc<AtomicU64>> = std::sync::OnceLock::new();
-    ISSUED
-        .get_or_init(|| {
-            let issued = Arc::new(AtomicU64::new(0));
-            let captured = issued.clone();
-            registry::register_fn("test-next-line", move |_spec, _ctx| {
-                Ok(Box::new(NextLine {
-                    stats: PrefetcherStats::default(),
-                    issued: captured.clone(),
-                }))
-            })
-            .expect("test owns this name");
-            issued
-        })
-        .clone()
+/// Registers `NextLine` under `name` with a fresh counter shared by
+/// every instance built from that name. Each test passes its own name,
+/// so no test reads a counter that a concurrently running test bumps.
+fn register_next_line(name: &str) -> Arc<AtomicU64> {
+    let issued = Arc::new(AtomicU64::new(0));
+    let captured = issued.clone();
+    registry::register_fn(name, move |_spec, _ctx| {
+        Ok(Box::new(NextLine {
+            stats: PrefetcherStats::default(),
+            issued: captured.clone(),
+        }))
+    })
+    .expect("test owns this name");
+    issued
 }
 
-/// The legacy hook surface must keep working through the trait's
-/// bridging defaults: a plugin *implementing* old `on_access` is driven
-/// by the simulator's `on_access_ctx` calls, and old callers of
-/// `on_access_collect` still reach a ctx-based implementation. The
-/// `allow` is scoped to the exercise; CI rebuilds this test with
-/// `--force-warn deprecated` and asserts the warning points here, so
-/// the legacy surface can neither silently break nor silently lose its
-/// deprecation marker.
+/// A plugin built straight from the registry answers the simulator's
+/// `on_access_ctx` call on its own: one miss, one next-line request,
+/// counted in the instance's own statistics.
 #[test]
-fn legacy_hooks_still_work_through_the_shims() {
-    let issued = register_next_line();
-    let before = issued.load(Ordering::Relaxed);
+fn registry_built_plugin_emits_the_next_line() {
+    let issued = register_next_line("test-next-line-direct");
     let mut pf = registry::build(
-        &"test-next-line".parse().expect("valid spec"),
+        &"test-next-line-direct".parse().expect("valid spec"),
         &registry::BuildCtx {
             core: 0,
             imp: &imp::common::ImpConfig::paper_default(),
@@ -85,33 +71,35 @@ fn legacy_hooks_still_work_through_the_shims() {
     )
     .expect("registered above");
     let mut values = imp::prefetch::MapValueSource::new();
-    #[allow(deprecated)]
-    let reqs = pf.on_access_collect(
-        Access::load_miss(Pc::new(9), Addr::new(0x4000), 8),
+    let (mut reqs, probe) = (Vec::new(), CoreProbe::disabled());
+    let access = Access::load_miss(Pc::new(9), Addr::new(0x4000), 8);
+    let mut ctx = PrefetchCtx::new(
+        access.pc,
+        AccessClass::Other,
         &mut values,
+        &mut reqs,
+        &probe,
     );
-    assert_eq!(reqs.len(), 1, "legacy impl reached through the shims");
+    pf.on_access_ctx(access, &mut ctx);
+    assert_eq!(reqs.len(), 1, "one miss, one request");
     assert_eq!(reqs[0].addr, Addr::new(0x4040), "next line prefetched");
-    assert_eq!(issued.load(Ordering::Relaxed), before + 1);
+    assert_eq!(pf.stats().stream_prefetches, 1);
+    assert_eq!(issued.load(Ordering::Relaxed), 1);
 }
 
 #[test]
 fn custom_prefetcher_runs_end_to_end_through_sim() {
-    let issued = register_next_line();
-    let before = issued.load(Ordering::Relaxed);
+    let issued = register_next_line("test-next-line-sim");
     let stats = Sim::workload("spmv")
         .cores(16)
         .scale(Scale::Tiny)
-        .prefetcher("test-next-line")
+        .prefetcher("test-next-line-sim")
         .run()
         .expect("registered prefetcher must resolve");
     assert!(stats.runtime > 0);
     // The plugin really sat in the L1 path: it issued prefetches and the
     // simulator accounted them.
-    assert!(
-        issued.load(Ordering::Relaxed) > before,
-        "plugin saw no misses"
-    );
+    assert!(issued.load(Ordering::Relaxed) > 0, "plugin saw no misses");
     assert!(
         stats.prefetch_total().issued_stream > 0,
         "no prefetches reached the MSHRs"
@@ -120,13 +108,14 @@ fn custom_prefetcher_runs_end_to_end_through_sim() {
 
 #[test]
 fn custom_prefetcher_round_trips_through_system_directly() {
-    register_next_line();
+    let issued = register_next_line("test-next-line-system");
     let params = WorkloadParams::new(16, Scale::Tiny);
     let built = by_name("spmv").unwrap().build(&params);
-    let cfg = SystemConfig::paper_default(16).with_prefetcher("test-next-line");
+    let cfg = SystemConfig::paper_default(16).with_prefetcher("test-next-line-system");
     let stats = System::try_new(cfg, built.program, built.mem)
         .expect("spec resolves")
         .run();
+    assert!(issued.load(Ordering::Relaxed) > 0, "plugin saw no misses");
     assert!(stats.prefetch_total().issued_stream > 0);
 }
 
