@@ -18,12 +18,14 @@
 //! println!("{t}");
 //! ```
 
+mod knob;
 mod runner;
 pub mod service;
 pub mod sim;
 pub mod sweep;
 mod table;
 
+pub use knob::Knob;
 pub use runner::{prewarm, run, run_one, scale_from_env, sim_for, system_config, Config};
 pub use service::{RequestError, SweepRequest};
 pub use sim::{Sim, SimError};

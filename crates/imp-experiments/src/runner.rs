@@ -10,7 +10,7 @@ use crate::sim::Sim;
 use crate::sweep::fanout;
 use imp_common::config::{CoreModel, MemMode, PartialMode, PrefetcherKind};
 use imp_common::{SystemConfig, SystemStats};
-use imp_store::{CellKey, ResultStore, StoredResult};
+use imp_store::{ResultStore, StoredResult};
 use imp_workloads::Scale;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -69,13 +69,13 @@ pub fn system_config(cores: u32, c: Config) -> SystemConfig {
     }
 }
 
-/// Input scale from the `IMP_SCALE` environment variable.
+/// Input scale from the `IMP_SCALE` environment variable; unset or
+/// unrecognised values fall back to `Small`.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("IMP_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("large") => Scale::Large,
-        _ => Scale::Small,
-    }
+    std::env::var("IMP_SCALE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(Scale::Small)
 }
 
 /// The runner's result store: `IMP_STORE_DIR` if set (shared across
@@ -123,21 +123,10 @@ pub fn run(app: &str, cores: u32, config: Config) -> SystemStats {
     if let Ok(Some(hit)) = store().get(&canonical) {
         return hit.stats;
     }
-    let cfg = system_config(cores, config);
-    let seed = sim.seed_value();
     let stats = sim.run().unwrap_or_else(|e| panic!("{e}"));
     let _ = store().put(&StoredResult {
         canonical,
-        cell: CellKey {
-            workload: app.to_string(),
-            cores,
-            prefetcher: cfg.prefetcher,
-            manager: cfg.manager,
-            partial: cfg.partial,
-            tlb: cfg.tlb,
-            page_policy: Vec::new(),
-            seed,
-        },
+        cell: sim.cell(),
         stats: stats.clone(),
     });
     stats

@@ -24,10 +24,10 @@
 //! assert_eq!(req.to_sweep().cells().len(), 2);
 //! ```
 
+use crate::knob::Knob;
 use crate::sim::Sim;
 use crate::sweep::Sweep;
 use crate::table::Table;
-use imp_common::config::PartialMode;
 use imp_obs::ObsConfig;
 use imp_store::{digest_hex, ResultStore, StoreCounters};
 use imp_workloads::Scale;
@@ -41,22 +41,14 @@ use std::path::{Path, PathBuf};
 pub struct SweepRequest {
     /// Request name (the file stem); names the manifest.
     pub name: String,
-    /// `workloads = spmv, pagerank` — required, at least one.
-    pub workloads: Vec<String>,
-    /// `cores = 16, 64`.
-    pub cores: Vec<u32>,
-    /// `prefetchers = none, stream, imp` (spec strings allowed).
-    pub prefetchers: Vec<String>,
-    /// `partials = off, noc, noc+dram`.
-    pub partials: Vec<PartialMode>,
-    /// `page_sizes = 4096, 2097152` (bytes).
-    pub page_sizes: Vec<u64>,
-    /// `tlb_ways = 2, 4, 8`.
-    pub tlb_ways: Vec<u32>,
+    /// The swept axes in the order given: each a non-empty list of one
+    /// knob's values (see [`Knob`] for every key and its value syntax).
+    /// `workloads` is required.
+    pub axes: Vec<Vec<Knob>>,
     /// `scale = tiny | small | large` (default `tiny`).
     pub scale: Scale,
-    /// `seed = 7` (default 42, the [`Sim`] default — so a request over
-    /// a grid the fluent API already ran shares its store entries).
+    /// `seed = 7` (default: the [`Sim`] default — so a request over a
+    /// grid the fluent API already ran shares its store entries).
     pub seed: u64,
     /// `threads = 4` — worker cap (default: available parallelism).
     pub threads: Option<usize>,
@@ -128,27 +120,34 @@ pub struct ServedRequest {
 impl SweepRequest {
     /// Parses request text. Grammar: one `key = value` per line, `#`
     /// starts a comment, blank lines ignored; list values are
-    /// comma-separated. Keys: `workloads` (required), `cores`,
-    /// `prefetchers`, `partials` (`off` / `noc` / `noc+dram`),
-    /// `page_sizes`, `tlb_ways`, `scale` (`tiny` / `small` / `large`),
-    /// `seed`, `threads`, `observe` (`on` / `off`).
+    /// comma-separated.
+    ///
+    /// Axis keys, one per [`Knob`] in nesting order (outermost first),
+    /// each taking a list: `workloads` (required; `chain:` specs
+    /// included), `cores`, `prefetchers` (specs), `depths`, `managers`
+    /// (specs, `none` = unmanaged), `partials` (`off` / `noc` /
+    /// `noc+dram`), `page_sizes` (bytes), `tlb_ways`,
+    /// `translation_policies` (`drop` / `walk` / `ideal`), `l2_tlbs`
+    /// (`SETSxWAYS`, `0x0` = none), `tlb_prefetches` (`on` / `off`),
+    /// `walk_models` (`flat` / `cached`) and `page_policies` (sets of
+    /// `region=4k|2m|auto:<bytes>` joined by `+`, or `none`). In the
+    /// spec lists (`workloads`, `prefetchers`, `managers`) an item of
+    /// the form `key=value` with no `:` continues the previous spec, so
+    /// `stream:distance=8,degree=2, imp` is two specs. Execution keys:
+    /// `scale` (`tiny` / `small` / `large`, default `tiny`), `seed`,
+    /// `threads`, `observe` (`on` / `off`).
     ///
     /// # Errors
     ///
     /// [`RequestError::Parse`] with the offending line for an unknown
-    /// key, an unparsable value, a repeated key, or a missing
-    /// `workloads`.
+    /// key, an unparsable value, a spec list opening with a parameter,
+    /// a repeated key, or a missing `workloads`.
     pub fn parse(name: &str, text: &str) -> Result<Self, RequestError> {
         let mut req = SweepRequest {
             name: name.to_string(),
-            workloads: Vec::new(),
-            cores: Vec::new(),
-            prefetchers: Vec::new(),
-            partials: Vec::new(),
-            page_sizes: Vec::new(),
-            tlb_ways: Vec::new(),
+            axes: Vec::new(),
             scale: Scale::Tiny,
-            seed: 42,
+            seed: Sim::workload("").seed_value(),
             threads: None,
             observe: false,
         };
@@ -173,11 +172,7 @@ impl SweepRequest {
             }
             seen.push(key.to_string());
             match key {
-                "workloads" => req.workloads = list(value).map(str::to_string).collect(),
-                "prefetchers" => req.prefetchers = list(value).map(str::to_string).collect(),
-                "cores" => req.cores = numbers(value).map_err(|m| fail(line, m))?,
-                "page_sizes" => req.page_sizes = numbers(value).map_err(|m| fail(line, m))?,
-                "tlb_ways" => req.tlb_ways = numbers(value).map_err(|m| fail(line, m))?,
+                "scale" => req.scale = value.parse().map_err(|m| fail(line, m))?,
                 "seed" => req.seed = one_number(value).map_err(|m| fail(line, m))?,
                 "threads" => req.threads = Some(one_number(value).map_err(|m| fail(line, m))?),
                 "observe" => {
@@ -192,36 +187,18 @@ impl SweepRequest {
                         }
                     };
                 }
-                "partials" => {
-                    req.partials = list(value)
-                        .map(|p| match p {
-                            "off" => Ok(PartialMode::Off),
-                            "noc" => Ok(PartialMode::NocOnly),
-                            "noc+dram" => Ok(PartialMode::NocAndDram),
-                            other => Err(fail(
-                                line,
-                                format!("unknown partial mode `{other}` (off / noc / noc+dram)"),
-                            )),
-                        })
-                        .collect::<Result<_, _>>()?;
+                _ if Knob::slot_of(key).is_none() => {
+                    return Err(fail(line, format!("unknown key `{key}`")))
                 }
-                "scale" => {
-                    req.scale = match value {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        "large" => Scale::Large,
-                        other => {
-                            return Err(fail(
-                                line,
-                                format!("unknown scale `{other}` (tiny / small / large)"),
-                            ))
-                        }
-                    };
+                _ => {
+                    let values = Knob::parse_list(key, value).map_err(|m| fail(line, m))?;
+                    if !values.is_empty() {
+                        req.axes.push(values);
+                    }
                 }
-                other => return Err(fail(line, format!("unknown key `{other}`"))),
             }
         }
-        if req.workloads.is_empty() {
+        if !req.axes.iter().any(|axis| axis[0].key() == "workloads") {
             return Err(fail(0, "`workloads` is required".to_string()));
         }
         Ok(req)
@@ -240,21 +217,13 @@ impl SweepRequest {
         SweepRequest::parse(&name, &std::fs::read_to_string(path)?)
     }
 
-    /// The [`Sweep`] this request describes.
+    /// The [`Sweep`] this request describes. The template names no
+    /// workload: the required `workloads` axis names every cell's.
     pub fn to_sweep(&self) -> Sweep {
-        let mut sweep = Sweep::from(
-            Sim::workload(&self.workloads[0])
-                .scale(self.scale)
-                .seed(self.seed),
-        )
-        .workloads(self.workloads.iter().cloned())
-        .cores(self.cores.iter().copied())
-        .partials(self.partials.iter().copied())
-        .page_sizes(self.page_sizes.iter().copied())
-        .tlb_ways(self.tlb_ways.iter().copied());
-        if !self.prefetchers.is_empty() {
-            sweep = sweep.prefetchers(self.prefetchers.iter().map(String::as_str));
-        }
+        let base = Sim::workload("").scale(self.scale).seed(self.seed);
+        let mut sweep = self.axes.iter().fold(Sweep::from(base), |sweep, axis| {
+            sweep.axis(axis[0].key(), axis.iter().cloned())
+        });
         if let Some(n) = self.threads {
             sweep = sweep.threads(n);
         }
@@ -341,20 +310,6 @@ impl SweepRequest {
             .map_err(|e| e.to_string())?;
         Ok((table, report))
     }
-}
-
-/// Comma-separated list items, trimmed, empties dropped.
-fn list(value: &str) -> impl Iterator<Item = &str> {
-    value.split(',').map(str::trim).filter(|s| !s.is_empty())
-}
-
-fn numbers<T: std::str::FromStr>(value: &str) -> Result<Vec<T>, String> {
-    list(value)
-        .map(|v| {
-            v.parse::<T>()
-                .map_err(|_| format!("`{v}` is not a valid number"))
-        })
-        .collect()
 }
 
 fn one_number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
@@ -462,6 +417,9 @@ fn serve_one(request: &Path, store: &ResultStore) -> ServedRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_common::config::{
+        PagePolicy, PartialMode, PrefetcherSpec, TranslationPolicy, WalkModel,
+    };
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("imp-service-{tag}-{}", std::process::id()));
@@ -475,19 +433,30 @@ mod tests {
         let req = SweepRequest::parse(
             "r",
             "# grid\nworkloads = spmv, pagerank\ncores = 16, 64\n\
-             prefetchers = none, imp\npartials = off, noc+dram\n\
-             page_sizes = 4096\ntlb_ways = 4, 8\nscale = small\n\
-             seed = 7\nthreads = 2 # cap\nobserve = on\n",
+             prefetchers = stream:distance=8,degree=2, imp\n\
+             managers = none, throttle:accuracy_floor=0.4,epoch=2000\n\
+             partials = off, noc+dram\npage_sizes = 4096\ntlb_ways = 4, 8\n\
+             scale = small\nseed = 7\nthreads = 2 # cap\nobserve = on\n",
         )
         .unwrap();
-        assert_eq!(req.workloads, ["spmv", "pagerank"]);
-        assert_eq!(req.cores, [16, 64]);
-        assert_eq!(req.partials, [PartialMode::Off, PartialMode::NocAndDram]);
         assert_eq!(
             (req.scale, req.seed, req.threads, req.observe),
             (Scale::Small, 7, Some(2), true)
         );
-        assert_eq!(req.to_sweep().cells().len(), 2 * 2 * 2 * 2 * 2);
+        let cells = req.to_sweep().cells();
+        assert_eq!(cells.len(), 2 * 2 * 2 * 2 * 2 * 2);
+        // A spec keeps its own comma-separated parameters; managers vary
+        // outside partial modes and dTLB ways (a stride of 4).
+        let spec = |s: &str| s.parse::<PrefetcherSpec>().unwrap();
+        assert_eq!(cells[0].prefetcher, spec("stream:distance=8,degree=2"));
+        assert_eq!(
+            cells[4].manager,
+            Some(spec("throttle:accuracy_floor=0.4,epoch=2000"))
+        );
+        assert_eq!(
+            (cells[3].partial, cells[3].tlb.ways),
+            (PartialMode::NocAndDram, 8)
+        );
 
         for (text, what) in [
             ("cores = 16", "workloads is required"),
@@ -498,9 +467,78 @@ mod tests {
             ("workloads = spmv\nobserve = maybe", "bad observe"),
             ("workloads = spmv\nseed = 1\nseed = 2", "repeated key"),
             ("workloads = spmv\nno equals", "missing ="),
+            (
+                "workloads = spmv\nprefetchers = degree=2, imp",
+                "lead param",
+            ),
+            ("workloads = spmv\nmanagers = epoch=2000", "lead param"),
+            ("workloads = spmv\nl2_tlbs = 128", "bad geometry"),
+            ("workloads = spmv\npage_policies = pr0=1g", "bad policy"),
         ] {
             let err = SweepRequest::parse("r", text).unwrap_err();
             assert!(matches!(err, RequestError::Parse { .. }), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_knob_key_parses_like_its_typed_setter() {
+        use PartialMode::*;
+        use TranslationPolicy::*;
+        const CHAIN: &str = "chain:depth=3,tables=probe+bucket+entry+payload";
+        const STREAM: &str = "stream:distance=8,degree=2";
+        const THROTTLE: &str = "throttle:accuracy_floor=0.4,epoch=2000";
+        let typed = || Sweep::from(Sim::workload("spmv").scale(Scale::Tiny));
+        let canonicals =
+            |s: &Sweep| -> Vec<_> { s.sims().iter().map(Sim::canonical_input).collect() };
+        for key in Knob::KEYS {
+            let (value, sweep) = match key {
+                "workloads" => (format!("spmv, {CHAIN}"), typed().workloads(["spmv", CHAIN])),
+                "cores" => ("16, 64".into(), typed().cores([16, 64])),
+                "prefetchers" => (
+                    format!("none, {STREAM}, imp:depth=2"),
+                    typed().prefetchers(["none", STREAM, "imp:depth=2"]),
+                ),
+                "depths" => ("1, 3".into(), typed().depths([1, 3])),
+                "managers" => (
+                    format!("none, {THROTTLE}"),
+                    typed().managers(["none", THROTTLE]),
+                ),
+                "partials" => (
+                    "off, noc, noc+dram".into(),
+                    typed().partials([Off, NocOnly, NocAndDram]),
+                ),
+                "page_sizes" => ("4096, 65536".into(), typed().page_sizes([4096, 65536])),
+                "tlb_ways" => ("2, 8".into(), typed().tlb_ways([2, 8])),
+                "translation_policies" => (
+                    "drop, walk, ideal".into(),
+                    typed().translation_policies([DropOnMiss, NonBlockingWalk, Ideal]),
+                ),
+                "l2_tlbs" => ("0x0, 128x8".into(), typed().l2_tlbs([(0, 0), (128, 8)])),
+                "tlb_prefetches" => ("off, on".into(), typed().tlb_prefetches([false, true])),
+                "walk_models" => (
+                    "flat, cached".into(),
+                    typed().walk_models([WalkModel::Flat, WalkModel::Cached]),
+                ),
+                "page_policies" => {
+                    let auto = PagePolicy::Auto {
+                        threshold_bytes: 4096,
+                    };
+                    let sets = [vec![], vec![("pr0", PagePolicy::Huge2M), ("deg", auto)]];
+                    (
+                        "none, pr0=2m+deg=auto:4096".into(),
+                        typed().page_policies(sets),
+                    )
+                }
+                other => panic!("no typed setter paired with knob `{other}`"),
+            };
+            let text = match key {
+                "workloads" => format!("workloads = {value}\n"),
+                _ => format!("workloads = spmv\n{key} = {value}\n"),
+            };
+            let parsed = SweepRequest::parse("t", &text).unwrap().to_sweep();
+            assert!(sweep.cells().len() > 1, "{key}: the axis varies");
+            assert_eq!(parsed.cells(), sweep.cells(), "{key}: cells");
+            assert_eq!(canonicals(&parsed), canonicals(&sweep), "{key}: canonicals");
         }
     }
 

@@ -28,9 +28,10 @@ use imp_common::config::{
     CoreModel, DramModelKind, MemMode, PagePolicy, PartialMode, PrefetcherSpec, TlbConfig,
     TranslationPolicy, WalkModel,
 };
-use imp_common::{ImpConfig, MemRegion, SystemConfig, SystemStats};
+use imp_common::{ImpConfig, MemConfig, MemRegion, SystemConfig, SystemStats};
 use imp_obs::{ObsConfig, ObsReport, Probe};
 use imp_sim::{BuildError, RegistryError, RunError, System, VmConfigError};
+use imp_store::CellKey;
 use imp_trace::BarrierMismatch;
 use imp_workloads::{by_name, BuiltArtifact, ChainSpec, Scale, WorkloadError, WorkloadParams};
 use std::fmt;
@@ -157,21 +158,16 @@ impl From<BuildError> for SimError {
 /// resolves the prefetcher against the plugin registry, and executes.
 #[derive(Clone, Debug)]
 pub struct Sim {
-    workload: String,
-    cores: u32,
+    pub(crate) workload: String,
+    /// The requested core count; [`Sim::config`] rebuilds the mesh
+    /// geometry when it differs from `cfg.cores`.
+    pub(crate) cores: u32,
     scale: Scale,
     seed: u64,
     sw_prefetch: Option<u64>,
-    prefetcher: PrefetcherSpec,
-    manager: Option<PrefetcherSpec>,
-    partial: PartialMode,
-    mem_mode: MemMode,
-    core_model: CoreModel,
-    dram: DramModelKind,
-    imp: ImpConfig,
-    tlb: TlbConfig,
+    /// Every other system knob, in the form the simulator runs it.
+    pub(crate) cfg: SystemConfig,
     page_policies: Vec<(String, PagePolicy)>,
-    base_config: Option<SystemConfig>,
     spec_error: Option<String>,
     event_budget: Option<u64>,
     observe: Option<ObsConfig>,
@@ -181,26 +177,7 @@ impl Sim {
     /// Starts a builder for the named workload (the paper's seven
     /// kernels plus the `dense` control).
     pub fn workload(name: impl Into<String>) -> Self {
-        Sim {
-            workload: name.into(),
-            cores: 16,
-            scale: Scale::Small,
-            seed: 42,
-            sw_prefetch: None,
-            prefetcher: PrefetcherSpec::default(),
-            manager: None,
-            partial: PartialMode::Off,
-            mem_mode: MemMode::Realistic,
-            core_model: CoreModel::InOrder,
-            dram: DramModelKind::Simple,
-            imp: ImpConfig::paper_default(),
-            tlb: TlbConfig::ideal(),
-            page_policies: Vec::new(),
-            base_config: None,
-            spec_error: None,
-            event_budget: None,
-            observe: None,
-        }
+        Sim::from_config(name, SystemConfig::paper_default(16))
     }
 
     /// Starts a builder from a fully explicit [`SystemConfig`] — the
@@ -213,18 +190,18 @@ impl Sim {
     /// geometry (L2 slices, memory controllers) at paper defaults for
     /// the new count, preserving every non-geometry field.
     pub fn from_config(workload: impl Into<String>, cfg: SystemConfig) -> Self {
-        let mut s = Sim::workload(workload);
-        s.cores = cfg.cores;
-        s.prefetcher = cfg.prefetcher.clone();
-        s.manager = cfg.manager.clone();
-        s.partial = cfg.partial;
-        s.mem_mode = cfg.mem_mode;
-        s.core_model = cfg.core_model;
-        s.dram = cfg.mem.dram;
-        s.imp = cfg.imp.clone();
-        s.tlb = cfg.tlb;
-        s.base_config = Some(cfg);
-        s
+        Sim {
+            workload: workload.into(),
+            cores: cfg.cores,
+            scale: Scale::Small,
+            seed: 42,
+            sw_prefetch: None,
+            cfg,
+            page_policies: Vec::new(),
+            spec_error: None,
+            event_budget: None,
+            observe: None,
+        }
     }
 
     /// Core/tile count (a positive perfect square: 16, 64, 256, ...).
@@ -261,7 +238,7 @@ impl Sim {
         S::Error: fmt::Display,
     {
         match spec.try_into() {
-            Ok(s) => self.prefetcher = s,
+            Ok(s) => self.cfg.prefetcher = s,
             Err(e) => self.spec_error = Some(e.to_string()),
         }
         self
@@ -285,7 +262,7 @@ impl Sim {
         S::Error: fmt::Display,
     {
         match spec.try_into() {
-            Ok(s) => self.manager = Some(s),
+            Ok(s) => self.cfg.manager = Some(s),
             Err(e) => self.spec_error = Some(e.to_string()),
         }
         self
@@ -296,7 +273,7 @@ impl Sim {
     /// install a spec, while a `"none"` axis value must *clear* the
     /// template's manager for its cells.
     pub(crate) fn set_manager(mut self, spec: Option<PrefetcherSpec>) -> Self {
-        self.manager = spec;
+        self.cfg.manager = spec;
         self
     }
 
@@ -318,28 +295,28 @@ impl Sim {
     /// Partial cacheline accessing mode (Section 4).
     #[must_use]
     pub fn partial(mut self, mode: PartialMode) -> Self {
-        self.partial = mode;
+        self.cfg.partial = mode;
         self
     }
 
     /// Memory-subsystem mode (Realistic / PerfectPrefetch / Ideal).
     #[must_use]
     pub fn mem_mode(mut self, mode: MemMode) -> Self {
-        self.mem_mode = mode;
+        self.cfg.mem_mode = mode;
         self
     }
 
     /// Core microarchitecture model.
     #[must_use]
     pub fn core_model(mut self, model: CoreModel) -> Self {
-        self.core_model = model;
+        self.cfg.core_model = model;
         self
     }
 
     /// DRAM timing model.
     #[must_use]
     pub fn dram(mut self, model: DramModelKind) -> Self {
-        self.dram = model;
+        self.cfg.mem.dram = model;
         self
     }
 
@@ -347,7 +324,7 @@ impl Sim {
     /// [`TlbConfig`]); the default is ideal, zero-cost translation.
     #[must_use]
     pub fn tlb(mut self, cfg: TlbConfig) -> Self {
-        self.tlb = cfg;
+        self.cfg.tlb = cfg;
         self
     }
 
@@ -357,7 +334,7 @@ impl Sim {
     /// pages.
     #[must_use]
     pub fn page_size(mut self, bytes: u64) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_page_bytes(bytes);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_page_bytes(bytes);
         self
     }
 
@@ -365,7 +342,7 @@ impl Sim {
     /// finite defaults first.
     #[must_use]
     pub fn tlb_ways(mut self, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_ways(ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_ways(ways);
         self
     }
 
@@ -373,7 +350,7 @@ impl Sim {
     /// an ideal TLB to finite defaults first.
     #[must_use]
     pub fn translation_policy(mut self, policy: TranslationPolicy) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_policy(policy);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_policy(policy);
         self
     }
 
@@ -382,7 +359,7 @@ impl Sim {
     /// TLB to finite defaults first.
     #[must_use]
     pub fn l2_tlb(mut self, sets: u32, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_l2(sets, ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_l2(sets, ways);
         self
     }
 
@@ -392,7 +369,7 @@ impl Sim {
     /// defaults first.
     #[must_use]
     pub fn tlb_prefetch(mut self, on: bool) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_tlb_prefetch(on);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_tlb_prefetch(on);
         self
     }
 
@@ -401,7 +378,7 @@ impl Sim {
     /// Upgrades an ideal TLB to finite defaults first.
     #[must_use]
     pub fn walk_model(mut self, model: WalkModel) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_walk_model(model);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_walk_model(model);
         self
     }
 
@@ -409,7 +386,7 @@ impl Sim {
     /// 2 MB structure). Upgrades an ideal TLB to finite defaults first.
     #[must_use]
     pub fn huge_tlb(mut self, sets: u32, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_huge_tlb(sets, ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_huge_tlb(sets, ways);
         self
     }
 
@@ -423,7 +400,7 @@ impl Sim {
     /// ideal TLB never translates, so placement would be meaningless).
     #[must_use]
     pub fn page_policy(mut self, region: impl Into<String>, policy: PagePolicy) -> Self {
-        self.tlb = self.tlb.finite_or_self();
+        self.cfg.tlb = self.cfg.tlb.finite_or_self();
         self.page_policies.push((region.into(), policy));
         self
     }
@@ -443,14 +420,9 @@ impl Sim {
             .map(|(name, policy)| (name.into(), policy))
             .collect();
         if !self.page_policies.is_empty() {
-            self.tlb = self.tlb.finite_or_self();
+            self.cfg.tlb = self.cfg.tlb.finite_or_self();
         }
         self
-    }
-
-    /// The page-policy override list in effect.
-    pub fn page_policy_overrides(&self) -> &[(String, PagePolicy)] {
-        &self.page_policies
     }
 
     /// Sets what [`Sim::run_observed`] records: histograms and the
@@ -477,13 +449,8 @@ impl Sim {
     /// Adjusts the IMP hardware parameter block (Table 2) in place.
     #[must_use]
     pub fn tune_imp(mut self, f: impl FnOnce(&mut ImpConfig)) -> Self {
-        f(&mut self.imp);
+        f(&mut self.cfg.imp);
         self
-    }
-
-    /// The workload name this builder targets.
-    pub fn workload_name(&self) -> &str {
-        &self.workload
     }
 
     /// Returns a copy targeting a different workload.
@@ -496,6 +463,22 @@ impl Sim {
     /// The configured workload-generation seed.
     pub fn seed_value(&self) -> u64 {
         self.seed
+    }
+
+    /// The grid coordinates of this run, as the result store records
+    /// them. Read straight from the builder, so it never fails — even
+    /// for a configuration that does not resolve.
+    pub fn cell(&self) -> CellKey {
+        CellKey {
+            workload: self.workload.clone(),
+            cores: self.cores,
+            prefetcher: self.cfg.prefetcher.clone(),
+            manager: self.cfg.manager.clone(),
+            partial: self.cfg.partial,
+            tlb: self.cfg.tlb,
+            page_policy: self.page_policies.clone(),
+            seed: self.seed,
+        }
     }
 
     /// The canonical input string the result store digests: a stable
@@ -542,27 +525,19 @@ impl Sim {
         if self.cores == 0 || side * side != self.cores {
             return Err(SimError::InvalidCores(self.cores));
         }
-        let mut cfg = match &self.base_config {
-            // An explicit base keeps its full geometry as long as the
-            // core count still matches; a changed count rebuilds the
-            // mesh-dependent fields at paper defaults.
-            Some(base) if base.cores == self.cores => base.clone(),
-            Some(base) => {
-                let mut fresh = SystemConfig::paper_default(self.cores);
-                fresh.rob_entries = base.rob_entries;
-                fresh.perfpref_lead = base.perfpref_lead;
-                fresh
+        let cfg = if self.cfg.cores == self.cores {
+            self.cfg.clone()
+        } else {
+            // A changed core count rebuilds the mesh-dependent geometry
+            // at paper defaults and carries every other field over.
+            let fresh = SystemConfig::paper_default(self.cores);
+            let dram = self.cfg.mem.dram;
+            SystemConfig {
+                cores: fresh.cores,
+                mem: MemConfig { dram, ..fresh.mem },
+                ..self.cfg.clone()
             }
-            None => SystemConfig::paper_default(self.cores),
         };
-        cfg.prefetcher = self.prefetcher.clone();
-        cfg.manager = self.manager.clone();
-        cfg.partial = self.partial;
-        cfg.mem_mode = self.mem_mode;
-        cfg.core_model = self.core_model;
-        cfg.mem.dram = self.dram;
-        cfg.imp = self.imp.clone();
-        cfg.tlb = self.tlb;
         // Surface invalid TLB geometry (zero sets, bad page sizes) at
         // config-resolve time instead of deep inside the system build.
         imp_sim::validate_tlb_config(&cfg.tlb).map_err(SimError::Tlb)?;

@@ -36,42 +36,20 @@
 //! assert!(results.iter().all(|r| r.stats.runtime > 0));
 //! ```
 
+use crate::knob::Knob;
 use crate::sim::{Sim, SimError};
-use imp_common::config::{
-    PagePolicy, ParamValue, PartialMode, PrefetcherSpec, TlbConfig, TranslationPolicy, WalkModel,
-};
+use imp_common::config::{PagePolicy, PartialMode, PrefetcherSpec, TranslationPolicy, WalkModel};
 use imp_common::{fnv1a, SplitMix64, SystemStats};
 use imp_obs::{ObsConfig, ObsSummary};
-use imp_store::{cell_digest, CellKey, ResultStore, StoredResult};
+use imp_store::{cell_digest, ResultStore, StoredResult};
 use imp_workloads::BuiltArtifact;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One point of the sweep grid.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepCell {
-    /// Workload name.
-    pub workload: String,
-    /// Core count.
-    pub cores: u32,
-    /// Prefetcher spec.
-    pub prefetcher: PrefetcherSpec,
-    /// Adaptive-management policy spec (`None` = unmanaged).
-    pub manager: Option<PrefetcherSpec>,
-    /// Partial cacheline accessing mode.
-    pub partial: PartialMode,
-    /// dTLB / page-walk configuration (ideal unless a TLB axis is
-    /// swept or the template enables one).
-    pub tlb: TlbConfig,
-    /// Page-policy overrides this cell applies to the workload's
-    /// regions (empty = every region keeps its declared policy).
-    /// Placement is translation-only, so cells differing only here
-    /// share one generated input.
-    pub page_policy: Vec<(String, PagePolicy)>,
-    /// Workload-generation seed this cell ran with.
-    pub seed: u64,
-}
+/// One point of the sweep grid: the coordinates the result store
+/// records with each cell ([`Sim::cell`]).
+pub use imp_store::CellKey as SweepCell;
 
 /// A finished cell: where it ran and what came back.
 #[derive(Clone, Debug)]
@@ -156,19 +134,10 @@ pub struct SweepReport {
 #[derive(Clone, Debug)]
 pub struct Sweep {
     base: Sim,
-    workloads: Vec<String>,
-    cores: Vec<u32>,
-    prefetchers: Vec<PrefetcherSpec>,
-    depths: Vec<u32>,
-    managers: Vec<Option<PrefetcherSpec>>,
-    partials: Vec<PartialMode>,
-    page_sizes: Vec<u64>,
-    tlb_ways: Vec<u32>,
-    policies: Vec<TranslationPolicy>,
-    l2_tlbs: Vec<(u32, u32)>,
-    tlb_prefetches: Vec<bool>,
-    walk_models: Vec<WalkModel>,
-    page_policies: Vec<Vec<(String, PagePolicy)>>,
+    /// The swept axes: each a non-empty list of one knob's values, held
+    /// in knob-table order ([`Knob::KEYS`]). Unswept knobs keep the
+    /// template's value.
+    axes: Vec<Vec<Knob>>,
     threads: Option<usize>,
     store_path: Option<PathBuf>,
     spec_error: Option<String>,
@@ -178,50 +147,68 @@ pub struct Sweep {
 impl From<Sim> for Sweep {
     fn from(base: Sim) -> Self {
         Sweep {
-            workloads: vec![base.workload_name().to_string()],
-            cores: Vec::new(),
-            prefetchers: Vec::new(),
-            depths: Vec::new(),
-            managers: Vec::new(),
-            partials: Vec::new(),
-            page_sizes: Vec::new(),
-            tlb_ways: Vec::new(),
-            policies: Vec::new(),
-            l2_tlbs: Vec::new(),
-            tlb_prefetches: Vec::new(),
-            walk_models: Vec::new(),
-            page_policies: Vec::new(),
+            base,
+            axes: Vec::new(),
             threads: None,
             store_path: None,
             spec_error: None,
             observe: None,
-            base,
         }
     }
 }
 
 impl Sweep {
-    /// A sweep whose unvaried axes come from the template `base`.
-    pub fn new(base: Sim) -> Self {
-        Sweep::from(base)
+    /// Sets the axis keyed `key` to `values`, in table position; an
+    /// empty list unsets it (the template's value applies).
+    pub(crate) fn axis(mut self, key: &str, values: impl IntoIterator<Item = Knob>) -> Self {
+        let slot = Knob::slot_of(key).expect("a knob-table key");
+        let values: Vec<Knob> = values.into_iter().collect();
+        debug_assert!(values.iter().all(|k| k.key() == key), "{key}: {values:?}");
+        self.axes.retain(|axis| axis[0].key() != key);
+        if !values.is_empty() {
+            let at = self
+                .axes
+                .partition_point(|axis| Knob::slot_of(axis[0].key()) < Some(slot));
+            self.axes.insert(at, values);
+        }
+        self
+    }
+
+    /// Parses spec-valued axis items, remembering the first malformed
+    /// one so [`Sweep::run`] can report it instead of panicking here.
+    fn specs<I, S>(&mut self, specs: I) -> Vec<PrefetcherSpec>
+    where
+        I: IntoIterator<Item = S>,
+        S: TryInto<PrefetcherSpec>,
+        S::Error: std::fmt::Display,
+    {
+        let mut out = Vec::new();
+        for spec in specs {
+            match spec.try_into() {
+                Ok(s) => out.push(s),
+                Err(e) => self.spec_error = Some(e.to_string()),
+            }
+        }
+        out
     }
 
     /// Varies the workload axis.
     #[must_use]
-    pub fn workloads<I, S>(mut self, names: I) -> Self
+    pub fn workloads<I, S>(self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.workloads = names.into_iter().map(Into::into).collect();
-        self
+        self.axis(
+            "workloads",
+            names.into_iter().map(|n| Knob::Workload(n.into())),
+        )
     }
 
     /// Varies the core-count axis.
     #[must_use]
-    pub fn cores<I: IntoIterator<Item = u32>>(mut self, counts: I) -> Self {
-        self.cores = counts.into_iter().collect();
-        self
+    pub fn cores<I: IntoIterator<Item = u32>>(self, counts: I) -> Self {
+        self.axis("cores", counts.into_iter().map(Knob::Cores))
     }
 
     /// Varies the prefetcher axis (specs, kinds, or spec strings). A
@@ -234,14 +221,8 @@ impl Sweep {
         S: TryInto<PrefetcherSpec>,
         S::Error: std::fmt::Display,
     {
-        self.prefetchers = Vec::new();
-        for spec in specs {
-            match spec.try_into() {
-                Ok(s) => self.prefetchers.push(s),
-                Err(e) => self.spec_error = Some(e.to_string()),
-            }
-        }
-        self
+        let specs = self.specs(specs);
+        self.axis("prefetchers", specs.into_iter().map(Knob::Prefetcher))
     }
 
     /// Varies the chained-indirection depth: every prefetcher cell is
@@ -254,9 +235,8 @@ impl Sweep {
     /// invalid parameter does; with no depth axis, specs pass through
     /// untouched (a spec's own `depth=` still applies).
     #[must_use]
-    pub fn depths<I: IntoIterator<Item = u32>>(mut self, depths: I) -> Self {
-        self.depths = depths.into_iter().collect();
-        self
+    pub fn depths<I: IntoIterator<Item = u32>>(self, depths: I) -> Self {
+        self.axis("depths", depths.into_iter().map(Knob::Depth))
     }
 
     /// Varies the adaptive-management axis (see `imp_adapt::Manager`).
@@ -278,75 +258,76 @@ impl Sweep {
         S: TryInto<PrefetcherSpec>,
         S::Error: std::fmt::Display,
     {
-        self.managers = Vec::new();
-        for spec in specs {
-            match spec.try_into() {
-                Ok(s) if s.name == "none" => self.managers.push(None),
-                Ok(s) => self.managers.push(Some(s)),
-                Err(e) => self.spec_error = Some(e.to_string()),
-            }
-        }
-        self
+        let specs = self.specs(specs);
+        self.axis(
+            "managers",
+            specs
+                .into_iter()
+                .map(|s| Knob::Manager(Some(s).filter(|s| s.name != "none"))),
+        )
     }
 
     /// Varies the partial-accessing axis.
     #[must_use]
-    pub fn partials<I: IntoIterator<Item = PartialMode>>(mut self, modes: I) -> Self {
-        self.partials = modes.into_iter().collect();
-        self
+    pub fn partials<I: IntoIterator<Item = PartialMode>>(self, modes: I) -> Self {
+        self.axis("partials", modes.into_iter().map(Knob::Partial))
     }
 
     /// Varies the translation page size (bytes per page). Setting any
     /// TLB axis upgrades an ideal template TLB to the
-    /// [`TlbConfig::finite`] defaults, then applies the swept knob.
+    /// [`imp_common::TlbConfig::finite`] defaults, then applies the
+    /// swept knob.
     #[must_use]
-    pub fn page_sizes<I: IntoIterator<Item = u64>>(mut self, sizes: I) -> Self {
-        self.page_sizes = sizes.into_iter().collect();
-        self
+    pub fn page_sizes<I: IntoIterator<Item = u64>>(self, sizes: I) -> Self {
+        self.axis("page_sizes", sizes.into_iter().map(Knob::PageSize))
     }
 
     /// Varies the dTLB associativity (ways per set); see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn tlb_ways<I: IntoIterator<Item = u32>>(mut self, ways: I) -> Self {
-        self.tlb_ways = ways.into_iter().collect();
-        self
+    pub fn tlb_ways<I: IntoIterator<Item = u32>>(self, ways: I) -> Self {
+        self.axis("tlb_ways", ways.into_iter().map(Knob::TlbWays))
     }
 
     /// Varies the prefetch-translation policy; see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
     pub fn translation_policies<I: IntoIterator<Item = TranslationPolicy>>(
-        mut self,
+        self,
         policies: I,
     ) -> Self {
-        self.policies = policies.into_iter().collect();
-        self
+        self.axis(
+            "translation_policies",
+            policies.into_iter().map(Knob::TranslationPolicy),
+        )
     }
 
     /// Varies the shared L2-TLB geometry as `(sets, ways)` pairs
     /// (`(0, 0)` is the no-L2 point); see [`Sweep::page_sizes`] for how
     /// an ideal template upgrades.
     #[must_use]
-    pub fn l2_tlbs<I: IntoIterator<Item = (u32, u32)>>(mut self, geometries: I) -> Self {
-        self.l2_tlbs = geometries.into_iter().collect();
-        self
+    pub fn l2_tlbs<I: IntoIterator<Item = (u32, u32)>>(self, geometries: I) -> Self {
+        self.axis(
+            "l2_tlbs",
+            geometries.into_iter().map(|(s, w)| Knob::L2Tlb(s, w)),
+        )
     }
 
     /// Varies the translation-prefetching knob; see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn tlb_prefetches<I: IntoIterator<Item = bool>>(mut self, settings: I) -> Self {
-        self.tlb_prefetches = settings.into_iter().collect();
-        self
+    pub fn tlb_prefetches<I: IntoIterator<Item = bool>>(self, settings: I) -> Self {
+        self.axis(
+            "tlb_prefetches",
+            settings.into_iter().map(Knob::TlbPrefetch),
+        )
     }
 
     /// Varies the walk-timing model; see [`Sweep::page_sizes`] for how
     /// an ideal template upgrades.
     #[must_use]
-    pub fn walk_models<I: IntoIterator<Item = WalkModel>>(mut self, models: I) -> Self {
-        self.walk_models = models.into_iter().collect();
-        self
+    pub fn walk_models<I: IntoIterator<Item = WalkModel>>(self, models: I) -> Self {
+        self.axis("walk_models", models.into_iter().map(Knob::WalkModel))
     }
 
     /// Varies the per-region page placement: each axis value is one
@@ -356,21 +337,22 @@ impl Sweep {
     /// shares one built artifact per (workload, cores, seed) input;
     /// see [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn page_policies<I, O, S>(mut self, sets: I) -> Self
+    pub fn page_policies<I, O, S>(self, sets: I) -> Self
     where
         I: IntoIterator<Item = O>,
         O: IntoIterator<Item = (S, PagePolicy)>,
         S: Into<String>,
     {
-        self.page_policies = sets
-            .into_iter()
-            .map(|set| {
-                set.into_iter()
-                    .map(|(name, policy)| (name.into(), policy))
-                    .collect()
-            })
-            .collect();
-        self
+        self.axis(
+            "page_policies",
+            sets.into_iter().map(|set| {
+                Knob::PagePolicies(
+                    set.into_iter()
+                        .map(|(name, policy)| (name.into(), policy))
+                        .collect(),
+                )
+            }),
+        )
     }
 
     /// Caps the worker-thread count (default: available parallelism).
@@ -405,172 +387,36 @@ impl Sweep {
         self
     }
 
-    /// Enumerates the grid in its deterministic execution order
-    /// (workload-major, then cores, prefetchers, managers, partial
-    /// modes).
+    /// Enumerates the grid in its deterministic execution order: the
+    /// cartesian product of the swept axes in knob-table order, the
+    /// first varying slowest — workloads, cores, prefetchers, depths,
+    /// managers, partial modes, page sizes, dTLB ways, translation
+    /// policies, L2-TLB geometries, translation prefetching, walk
+    /// models, page-policy sets. Unswept knobs keep the template's
+    /// value. Any swept translation knob (the page-policy set included)
+    /// upgrades an ideal template TLB to the finite defaults.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let one_cfg;
-        let (cores, prefetchers, managers, partials) = {
-            one_cfg = (
-                vec![self.base_cores()],
-                vec![self.base_prefetcher()],
-                vec![self.base_manager()],
-                vec![self.base_partial()],
-            );
-            (
-                if self.cores.is_empty() {
-                    &one_cfg.0
-                } else {
-                    &self.cores
-                },
-                if self.prefetchers.is_empty() {
-                    &one_cfg.1
-                } else {
-                    &self.prefetchers
-                },
-                if self.managers.is_empty() {
-                    &one_cfg.2
-                } else {
-                    &self.managers
-                },
-                if self.partials.is_empty() {
-                    &one_cfg.3
-                } else {
-                    &self.partials
-                },
-            )
-        };
-        // The depth axis multiplies the prefetcher axis: one spec per
-        // (prefetcher, depth) with the `depth` parameter overridden.
-        let prefetchers: Vec<PrefetcherSpec> = if self.depths.is_empty() {
-            prefetchers.clone()
-        } else {
-            prefetchers
-                .iter()
-                .flat_map(|p| {
-                    self.depths.iter().map(|&d| {
-                        let mut p = p.clone();
-                        p.params
-                            .insert("depth".to_string(), ParamValue::Int(i64::from(d)));
-                        p
-                    })
-                })
-                .collect()
-        };
-        let tlbs = self.tlb_variants();
-        let base_policies = vec![self.base.page_policy_overrides().to_vec()];
-        let policy_sets = if self.page_policies.is_empty() {
-            &base_policies
-        } else {
-            &self.page_policies
-        };
-        let mut cells = Vec::new();
-        for w in &self.workloads {
-            for &n in cores {
-                for p in &prefetchers {
-                    for mgr in managers {
-                        for &m in partials {
-                            for &tlb in &tlbs {
-                                for pp in policy_sets {
-                                    cells.push(SweepCell {
-                                        workload: w.clone(),
-                                        cores: n,
-                                        prefetcher: p.clone(),
-                                        manager: mgr.clone(),
-                                        partial: m,
-                                        tlb,
-                                        page_policy: pp.clone(),
-                                        seed: cell_seed(self.base_seed(), w, n),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
+        self.sims().iter().map(Sim::cell).collect()
     }
 
-    /// The translation sub-grid: the cross product of every swept TLB
-    /// axis (page sizes, dTLB ways, translation policies, L2-TLB
-    /// geometries, translation prefetching, walk models), in that
-    /// nesting order with the walk model varying fastest. Any swept
-    /// TLB knob upgrades an ideal template to the finite defaults;
-    /// with no TLB axis swept this is exactly the template's TLB.
-    fn tlb_variants(&self) -> Vec<TlbConfig> {
-        let tlb_swept = !(self.page_sizes.is_empty()
-            && self.tlb_ways.is_empty()
-            && self.policies.is_empty()
-            && self.l2_tlbs.is_empty()
-            && self.tlb_prefetches.is_empty()
-            && self.walk_models.is_empty()
-            && self.page_policies.is_empty());
-        let base = if tlb_swept {
-            self.base_tlb().finite_or_self()
-        } else {
-            self.base_tlb()
-        };
-        let one = (
-            vec![base.page_bytes],
-            vec![base.ways],
-            vec![base.policy],
-            vec![(base.l2_sets, base.l2_ways)],
-            vec![base.tlb_prefetch],
-            vec![base.walk_model],
-        );
-        let page_sizes = if self.page_sizes.is_empty() {
-            &one.0
-        } else {
-            &self.page_sizes
-        };
-        let tlb_ways = if self.tlb_ways.is_empty() {
-            &one.1
-        } else {
-            &self.tlb_ways
-        };
-        let policies = if self.policies.is_empty() {
-            &one.2
-        } else {
-            &self.policies
-        };
-        let l2s = if self.l2_tlbs.is_empty() {
-            &one.3
-        } else {
-            &self.l2_tlbs
-        };
-        let tps = if self.tlb_prefetches.is_empty() {
-            &one.4
-        } else {
-            &self.tlb_prefetches
-        };
-        let wms = if self.walk_models.is_empty() {
-            &one.5
-        } else {
-            &self.walk_models
-        };
-        let mut out = Vec::new();
-        for &ps in page_sizes {
-            for &ways in tlb_ways {
-                for &policy in policies {
-                    for &(l2s_n, l2w) in l2s {
-                        for &tp in tps {
-                            for &wm in wms {
-                                out.push(
-                                    base.with_page_bytes(ps)
-                                        .with_ways(ways)
-                                        .with_policy(policy)
-                                        .with_l2(l2s_n, l2w)
-                                        .with_tlb_prefetch(tp)
-                                        .with_walk_model(wm),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+    /// One builder per grid cell, in [`Sweep::cells`] order: the
+    /// template with each axis value applied in table order, then the
+    /// cell's derived generation seed.
+    pub(crate) fn sims(&self) -> Vec<Sim> {
+        let mut sims = vec![self.base.clone()];
+        for axis in &self.axes {
+            sims = sims
+                .iter()
+                .flat_map(|sim| axis.iter().map(|knob| knob.clone().apply(sim.clone())))
+                .collect();
         }
-        out
+        let seed = self.base.seed_value();
+        sims.into_iter()
+            .map(|sim| {
+                let cell_seed = cell_seed(seed, &sim.workload, sim.cores);
+                sim.seed(cell_seed)
+            })
+            .collect()
     }
 
     /// Runs every cell and returns results in [`Sweep::cells`] order.
@@ -587,7 +433,8 @@ impl Sweep {
     /// Runs every cell, returning a per-cell `Result` in
     /// [`Sweep::cells`] order: one bad cell (an unresolvable prefetcher,
     /// a failed `trace:` replay, an invalid core count) no longer throws
-    /// away the completed rest of the grid.
+    /// away the completed rest of the grid. With [`Sweep::store`] set,
+    /// this is [`Sweep::run_with`] against that store.
     ///
     /// Each distinct (workload, cores, seed) input is built exactly once
     /// and shared read-only across the cells that use it; a failed build
@@ -597,59 +444,19 @@ impl Sweep {
     ///
     /// The outer `Err` is reserved for a malformed grid — an axis spec
     /// string that did not parse — where no cells can be enumerated at
-    /// all. Everything that goes wrong *inside* a cell comes back in
-    /// that cell's slot.
+    /// all, and for a store that cannot be opened or read. Everything
+    /// that goes wrong *inside* a cell comes back in that cell's slot.
     // A cell's error carries its (string-heavy) grid coordinates by
     // design; boxing would just push the size into every caller match.
     #[allow(clippy::type_complexity, clippy::result_large_err)]
     pub fn run_partial(&self) -> Result<Vec<Result<SweepResult, SweepCellError>>, SimError> {
-        if let Some(path) = &self.store_path {
-            let store = ResultStore::open(path).map_err(|e| SimError::Store(e.to_string()))?;
-            return Ok(self.run_with(&store, |_| {})?.results);
-        }
-        if let Some(e) = &self.spec_error {
-            return Err(SimError::InvalidSpec(e.clone()));
-        }
-        let cells = self.cells();
-        let threads = self.thread_count(cells.len());
-
-        // Group cells by distinct generated input. Scale and
-        // software-prefetch settings come from the template, so within
-        // one sweep the input is determined by (workload, cores, seed).
-        let (groups, group_of) = input_groups(cells.iter());
-
-        // Build each distinct artifact exactly once, in parallel.
-        let artifacts = fanout(groups.len(), threads.min(groups.len()), |g| {
-            let (workload, cores, seed) = &groups[g];
-            self.base
-                .clone()
-                .with_workload(workload)
-                .cores(*cores)
-                .seed(*seed)
-                .build_artifact()
-        });
-
-        // Fan the configuration cells out over the shared artifacts.
-        let outcomes = fanout(cells.len(), threads, |i| {
-            let cell = &cells[i];
-            let artifact = artifacts[group_of[i]].as_ref().map_err(Clone::clone)?;
-            self.run_cell(cell, artifact)
-        });
-        Ok(cells
-            .into_iter()
-            .zip(outcomes)
-            .map(|(cell, outcome)| match outcome {
-                Ok((stats, obs)) => Ok(SweepResult { cell, stats, obs }),
-                Err(error) => {
-                    let canonical = self.cell_canonical(&cell);
-                    Err(SweepCellError {
-                        cell,
-                        canonical,
-                        error,
-                    })
-                }
-            })
-            .collect())
+        let store = match &self.store_path {
+            Some(path) => {
+                Some(ResultStore::open(path).map_err(|e| SimError::Store(e.to_string()))?)
+            }
+            None => None,
+        };
+        Ok(self.execute(store.as_ref(), |_| {})?.results)
     }
 
     /// Runs the grid against `store`, streaming each cell's outcome to
@@ -669,15 +476,29 @@ impl Sweep {
     /// cannot be *read* (I/O, not corruption) fails the whole run;
     /// per-cell simulation failures come back in their result slots.
     #[allow(clippy::result_large_err)]
-    pub fn run_with<F>(&self, store: &ResultStore, mut on_cell: F) -> Result<SweepReport, SimError>
+    pub fn run_with<F>(&self, store: &ResultStore, on_cell: F) -> Result<SweepReport, SimError>
+    where
+        F: FnMut(&CellOutcome),
+    {
+        self.execute(Some(store), on_cell)
+    }
+
+    /// The one execution engine behind [`Sweep::run_partial`] and
+    /// [`Sweep::run_with`]; without a store every cell is a miss.
+    #[allow(clippy::result_large_err)]
+    fn execute<F>(
+        &self,
+        store: Option<&ResultStore>,
+        mut on_cell: F,
+    ) -> Result<SweepReport, SimError>
     where
         F: FnMut(&CellOutcome),
     {
         if let Some(e) = &self.spec_error {
             return Err(SimError::InvalidSpec(e.clone()));
         }
-        let cells = self.cells();
-        let n = cells.len();
+        let sims = self.sims();
+        let n = sims.len();
 
         // Probe phase: resolve each cell's canonical input and look it
         // up. Sequential and cheap — config resolution plus one read
@@ -687,12 +508,15 @@ impl Sweep {
         let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
         let mut cached_flags = vec![false; n];
         let mut missing: Vec<usize> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            match self.sim_for(cell).canonical_input() {
+        for (i, sim) in sims.iter().enumerate() {
+            match sim.canonical_input() {
                 Ok(canonical) => {
-                    let hit = store
-                        .get(&canonical)
-                        .map_err(|e| SimError::Store(e.to_string()))?;
+                    let hit = match store {
+                        Some(store) => store
+                            .get(&canonical)
+                            .map_err(|e| SimError::Store(e.to_string()))?,
+                        None => None,
+                    };
                     match hit {
                         Some(record) => {
                             cached_flags[i] = true;
@@ -715,17 +539,12 @@ impl Sweep {
             }
         }
 
-        // Build phase: only the groups that still have missing cells.
+        // Build phase: only the groups that still have missing cells,
+        // each from its first missing cell's builder.
         let threads = self.thread_count(missing.len());
-        let (groups, group_of) = input_groups(missing.iter().map(|&i| &cells[i]));
-        let artifacts = fanout(groups.len(), threads.min(groups.len().max(1)), |g| {
-            let (workload, cores, seed) = &groups[g];
-            self.base
-                .clone()
-                .with_workload(workload)
-                .cores(*cores)
-                .seed(*seed)
-                .build_artifact()
+        let (groups, group_of) = input_groups(missing.iter().map(|&i| &sims[i]));
+        let artifacts = fanout(groups.len(), threads, |g| {
+            sims[missing[groups[g]]].build_artifact()
         });
 
         // Simulate the missing cells across workers while the calling
@@ -739,60 +558,11 @@ impl Sweep {
             failed: 0,
             store_error: None,
         };
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, CellRun)>();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let canonicals = &canonicals;
-            let missing = &missing;
-            let artifacts = &artifacts;
-            let group_of = &group_of;
-            let next = &next;
-            let store_error = &store_error;
-            for _ in 0..threads.min(missing.len()) {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= missing.len() {
-                        break;
-                    }
-                    let i = missing[k];
-                    let cell = &cells[i];
-                    let outcome = artifacts[group_of[k]]
-                        .as_ref()
-                        .map_err(Clone::clone)
-                        .and_then(|artifact| self.run_cell(cell, artifact));
-                    if let Ok((stats, _)) = &outcome {
-                        let record = StoredResult {
-                            canonical: canonicals[i].clone(),
-                            cell: cell_key(cell),
-                            stats: stats.clone(),
-                        };
-                        if let Err(e) = store.put(&record) {
-                            store_error
-                                .lock()
-                                .expect("store-error slot")
-                                .get_or_insert_with(|| e.to_string());
-                        }
-                    }
-                    if tx.send((i, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut delivered = 0;
-            while delivered < n {
-                if slots[delivered].is_none() {
-                    // Wait for workers; any cell may arrive, only the
-                    // next-in-order one unblocks delivery.
-                    let (i, outcome) = rx.recv().expect("workers outlive the channel");
-                    slots[i] = Some(outcome);
-                    continue;
-                }
-                let cell = cells[delivered].clone();
-                let result = match slots[delivered].take().expect("slot filled") {
+        let mut delivered = 0;
+        let mut flush = |slots: &mut [Option<CellRun>]| {
+            while let Some(run) = slots.get_mut(delivered).and_then(Option::take) {
+                let cell = sims[delivered].cell();
+                let result = match run {
                     Ok((stats, obs)) => {
                         if !cached_flags[delivered] {
                             report.simulated += 1;
@@ -819,6 +589,32 @@ impl Sweep {
                 report.results.push(outcome.result);
                 delivered += 1;
             }
+        };
+        flush(&mut slots);
+        let simulate = |k: usize| {
+            let (i, sim) = (missing[k], &sims[missing[k]]);
+            let outcome = artifacts[group_of[k]]
+                .as_ref()
+                .map_err(Clone::clone)
+                .and_then(|artifact| self.run_cell(sim, artifact));
+            if let (Some(store), Ok((stats, _))) = (store, &outcome) {
+                let record = StoredResult {
+                    canonical: canonicals[i].clone(),
+                    cell: sim.cell(),
+                    stats: stats.clone(),
+                };
+                if let Err(e) = store.put(&record) {
+                    store_error
+                        .lock()
+                        .expect("store-error slot")
+                        .get_or_insert_with(|| e.to_string());
+                }
+            }
+            (i, outcome)
+        };
+        pool(missing.len(), threads, simulate, |_, (i, outcome)| {
+            slots[i] = Some(outcome);
+            flush(&mut slots);
         });
         report.store_error = store_error.into_inner().expect("store-error slot");
         Ok(report)
@@ -829,39 +625,16 @@ impl Sweep {
     /// way; only the summary is extra.
     fn run_cell(
         &self,
-        cell: &SweepCell,
+        sim: &Sim,
         artifact: &BuiltArtifact,
     ) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
         match self.observe.filter(ObsConfig::enabled) {
             Some(cfg) => {
-                let (stats, report) = self.sim_for(cell).observe(cfg).run_observed_on(artifact)?;
+                let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
                 Ok((stats, Some(report.summary())))
             }
-            None => Ok((self.sim_for(cell).run_on(artifact)?, None)),
+            None => Ok((sim.run_on(artifact)?, None)),
         }
-    }
-
-    /// The per-cell [`Sim`] builder (the template with the cell's axis
-    /// values applied, in the same order `run_partial` always used).
-    fn sim_for(&self, cell: &SweepCell) -> Sim {
-        self.base
-            .clone()
-            .with_workload(&cell.workload)
-            .cores(cell.cores)
-            .prefetcher(cell.prefetcher.clone())
-            .set_manager(cell.manager.clone())
-            .partial(cell.partial)
-            .tlb(cell.tlb)
-            .page_policies(cell.page_policy.clone())
-            .seed(cell.seed)
-    }
-
-    /// The cell's canonical input, or a deterministic placeholder for a
-    /// cell whose configuration does not resolve.
-    fn cell_canonical(&self, cell: &SweepCell) -> String {
-        self.sim_for(cell)
-            .canonical_input()
-            .unwrap_or_else(|e| format!("<unresolved config: {e}>"))
     }
 
     fn thread_count(&self, work: usize) -> usize {
@@ -872,30 +645,6 @@ impl Sweep {
                     .unwrap_or(1)
             })
             .min(work.max(1))
-    }
-
-    fn base_cores(&self) -> u32 {
-        self.base.config().map(|c| c.cores).unwrap_or(16)
-    }
-
-    fn base_prefetcher(&self) -> PrefetcherSpec {
-        self.base.config().map(|c| c.prefetcher).unwrap_or_default()
-    }
-
-    fn base_manager(&self) -> Option<PrefetcherSpec> {
-        self.base.config().ok().and_then(|c| c.manager)
-    }
-
-    fn base_partial(&self) -> PartialMode {
-        self.base.config().map(|c| c.partial).unwrap_or_default()
-    }
-
-    fn base_tlb(&self) -> TlbConfig {
-        self.base.config().map(|c| c.tlb).unwrap_or_default()
-    }
-
-    fn base_seed(&self) -> u64 {
-        self.base.seed_value()
     }
 }
 
@@ -909,37 +658,57 @@ fn cell_seed(base: u64, workload: &str, cores: u32) -> u64 {
 }
 
 /// Groups cells by distinct generated input (workload, cores, seed).
-/// Returns the distinct groups and, per input cell, the group index.
-fn input_groups<'a, I>(cells: I) -> (Vec<(String, u32, u64)>, Vec<usize>)
+/// Returns, per group, the position of its first cell in `sims`, and,
+/// per cell, its group index.
+fn input_groups<'a, I>(sims: I) -> (Vec<usize>, Vec<usize>)
 where
-    I: Iterator<Item = &'a SweepCell>,
+    I: Iterator<Item = &'a Sim>,
 {
-    let mut groups: Vec<(String, u32, u64)> = Vec::new();
-    let group_of = cells
-        .map(|cell| {
-            let key = (cell.workload.clone(), cell.cores, cell.seed);
-            groups.iter().position(|g| *g == key).unwrap_or_else(|| {
-                groups.push(key);
-                groups.len() - 1
+    let mut keys: Vec<(&str, u32, u64)> = Vec::new();
+    let mut firsts = Vec::new();
+    let group_of = sims
+        .enumerate()
+        .map(|(k, sim)| {
+            let key = (sim.workload.as_str(), sim.cores, sim.seed_value());
+            keys.iter().position(|g| *g == key).unwrap_or_else(|| {
+                keys.push(key);
+                firsts.push(k);
+                keys.len() - 1
             })
         })
         .collect();
-    (groups, group_of)
+    (firsts, group_of)
 }
 
-/// The store's mirror of a [`SweepCell`] (same fields, `imp-common`
-/// types only, so `imp-store` stays below the experiment layer).
-fn cell_key(cell: &SweepCell) -> CellKey {
-    CellKey {
-        workload: cell.workload.clone(),
-        cores: cell.cores,
-        prefetcher: cell.prefetcher.clone(),
-        manager: cell.manager.clone(),
-        partial: cell.partial,
-        tlb: cell.tlb,
-        page_policy: cell.page_policy.clone(),
-        seed: cell.seed,
+/// Runs `f(0..n)` on up to `threads` scoped workers and hands each
+/// result to `deliver` on the calling thread as it completes (inline,
+/// in index order, when one thread suffices).
+fn pool<T, F, D>(n: usize, threads: usize, f: F, mut deliver: D)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    D: FnMut(usize, T),
+{
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        (0..n).for_each(|i| deliver(i, f(i)));
+        return;
     }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (f, next, tx) = (&f, &next, tx.clone());
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || tx.send((i, f(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        rx.into_iter().for_each(|(i, value)| deliver(i, value));
+    });
 }
 
 /// Runs `f(0..n)` on up to `threads` scoped workers; results come back
@@ -949,34 +718,11 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("fanout slot") = Some(value);
-            });
-        }
-    });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    pool(n, threads, f, |i, value| slots[i] = Some(value));
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("fanout slot")
-                .expect("worker filled slot")
-        })
+        .map(|slot| slot.expect("worker filled slot"))
         .collect()
 }
 
@@ -984,6 +730,11 @@ where
 mod tests {
     use super::*;
     use imp_workloads::Scale;
+
+    /// The canonical input of cell `i` of `sweep`.
+    fn canonical(sweep: &Sweep, i: usize) -> String {
+        sweep.sims()[i].canonical_input().unwrap()
+    }
 
     #[test]
     fn cells_enumerate_the_cross_product_in_order() {
@@ -1028,10 +779,7 @@ mod tests {
         // The depth knob never changes the generated input.
         assert!(cells.iter().all(|c| c.seed == cells[0].seed));
         // Distinct depths are distinct cells to the result store.
-        assert_ne!(
-            sweep.cell_canonical(&cells[0]),
-            sweep.cell_canonical(&cells[1])
-        );
+        assert_ne!(canonical(&sweep, 0), canonical(&sweep, 1));
         // Without the axis, specs pass through untouched.
         let plain = Sweep::from(Sim::workload("hashjoin").scale(Scale::Tiny))
             .prefetchers(["imp"])
@@ -1056,21 +804,10 @@ mod tests {
         assert_eq!(cells[0].seed, cells[2].seed);
         // An unmanaged cell's canonical is byte-identical to a
         // managerless sweep's; a managed cell's differs.
-        let plain = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
-            .prefetchers(["stream"])
-            .cells();
-        assert_eq!(
-            sweep.cell_canonical(&cells[0]),
-            sweep.cell_canonical(&plain[0])
-        );
-        assert_ne!(
-            sweep.cell_canonical(&cells[1]),
-            sweep.cell_canonical(&cells[0])
-        );
-        assert_ne!(
-            sweep.cell_canonical(&cells[1]),
-            sweep.cell_canonical(&cells[2])
-        );
+        let plain = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny)).prefetchers(["stream"]);
+        assert_eq!(canonical(&sweep, 0), canonical(&plain, 0));
+        assert_ne!(canonical(&sweep, 1), canonical(&sweep, 0));
+        assert_ne!(canonical(&sweep, 1), canonical(&sweep, 2));
     }
 
     #[test]

@@ -128,12 +128,13 @@ impl From<std::io::Error> for StoreError {
 
 /// The sweep-cell coordinates a stored result was simulated under.
 ///
-/// Mirrors `imp_experiments::SweepCell` field for field, but lives here
-/// (built only from `imp-common` types) so the store does not depend on
-/// the experiment layer. The *identity* of a record is its canonical
-/// string; the key is carried so manifests and debugging tools can
-/// reconstruct the grid coordinates without re-parsing canonicals.
-#[derive(Clone, Debug, PartialEq)]
+/// `imp_experiments` re-exports this as its `SweepCell` (`Sim::cell`
+/// builds it); it lives here, built only from `imp-common` types, so
+/// the store does not depend on the experiment layer. The *identity* of
+/// a record is its canonical string; the key is carried so manifests
+/// and debugging tools can reconstruct the grid coordinates without
+/// re-parsing canonicals. The default is an ideal-TLB, unmanaged cell.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellKey {
     /// Workload name (`Sim::workload` argument).
     pub workload: String,
@@ -151,21 +152,6 @@ pub struct CellKey {
     pub page_policy: Vec<(String, PagePolicy)>,
     /// Workload generation seed.
     pub seed: u64,
-}
-
-impl Default for CellKey {
-    fn default() -> Self {
-        CellKey {
-            workload: String::new(),
-            cores: 0,
-            prefetcher: PrefetcherSpec::default(),
-            manager: None,
-            partial: PartialMode::default(),
-            tlb: TlbConfig::ideal(),
-            page_policy: Vec::new(),
-            seed: 0,
-        }
-    }
 }
 
 /// One persisted sweep-cell result: the canonical input it answers, the

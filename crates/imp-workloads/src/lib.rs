@@ -70,6 +70,20 @@ pub enum Scale {
     Large,
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `tiny`, `small` or `large`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "large" => Ok(Scale::Large),
+            other => Err(format!("unknown scale `{other}` (tiny / small / large)")),
+        }
+    }
+}
+
 /// Parameters shared by all workload builders.
 #[derive(Clone, Debug)]
 pub struct WorkloadParams {
