@@ -12,7 +12,8 @@ use imp_common::config::{
     PagePolicy, ParamValue, PartialMode, PrefetcherSpec, TranslationPolicy, WalkModel,
 };
 
-/// One value of one sweep axis; each variant's doc names its key.
+/// One value of one sweep axis; each variant's doc names its key, and
+/// [`crate::SweepRequest::parse`] gives each key's value syntax.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Knob {
     /// `workloads`: a workload name (`chain:` specs included).
@@ -92,7 +93,7 @@ impl Knob {
     ///
     /// A message naming the key for an unknown key or a value the knob
     /// does not accept.
-    pub fn parse(key: &str, value: &str) -> Result<Knob, String> {
+    pub(crate) fn parse(key: &str, value: &str) -> Result<Knob, String> {
         let bad = |hint: &str| format!("`{value}` is not a valid {key} value ({hint})");
         let num = |hint: &str| value.parse::<u64>().map_err(|_| bad(hint));
         let small = |hint: &str| value.parse::<u32>().map_err(|_| bad(hint));
@@ -133,11 +134,7 @@ impl Knob {
                     .ok_or_else(|| bad("SETSxWAYS"))?;
                 Knob::L2Tlb(sets, ways)
             }
-            "tlb_prefetches" => Knob::TlbPrefetch(match value {
-                "on" => true,
-                "off" => false,
-                _ => return Err(bad("on / off")),
-            }),
+            "tlb_prefetches" => Knob::TlbPrefetch(on_off(value).ok_or_else(|| bad("on / off"))?),
             "walk_models" => Knob::WalkModel(
                 [WalkModel::Flat, WalkModel::Cached]
                     .into_iter()
@@ -170,7 +167,7 @@ impl Knob {
     ///
     /// Any [`Knob::parse`] error, or a spec list that opens with a
     /// parameter.
-    pub fn parse_list(key: &str, value: &str) -> Result<Vec<Knob>, String> {
+    pub(crate) fn parse_list(key: &str, value: &str) -> Result<Vec<Knob>, String> {
         let items = value.split(',').map(str::trim).filter(|s| !s.is_empty());
         let mut values: Vec<String> = Vec::new();
         let specs = matches!(key, "workloads" | "prefetchers" | "managers");
@@ -192,7 +189,7 @@ impl Knob {
 
     /// Applies this value to `sim` through its typed setter.
     #[must_use]
-    pub fn apply(self, sim: Sim) -> Sim {
+    pub(crate) fn apply(self, sim: Sim) -> Sim {
         match self {
             Knob::Workload(name) => sim.with_workload(name),
             Knob::Cores(n) => sim.cores(n),
@@ -218,6 +215,15 @@ impl Knob {
                 sim.tlb(tlb).page_policies(set)
             }
         }
+    }
+}
+
+/// A switch: `on` / `true` or `off` / `false`.
+pub(crate) fn on_off(value: &str) -> Option<bool> {
+    match value {
+        "on" | "true" => Some(true),
+        "off" | "false" => Some(false),
+        _ => None,
     }
 }
 

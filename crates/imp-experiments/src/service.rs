@@ -24,7 +24,7 @@
 //! assert_eq!(req.to_sweep().cells().len(), 2);
 //! ```
 
-use crate::knob::Knob;
+use crate::knob::{on_off, Knob};
 use crate::sim::Sim;
 use crate::sweep::Sweep;
 use crate::table::Table;
@@ -176,16 +176,9 @@ impl SweepRequest {
                 "seed" => req.seed = one_number(value).map_err(|m| fail(line, m))?,
                 "threads" => req.threads = Some(one_number(value).map_err(|m| fail(line, m))?),
                 "observe" => {
-                    req.observe = match value {
-                        "on" | "true" => true,
-                        "off" | "false" => false,
-                        other => {
-                            return Err(fail(
-                                line,
-                                format!("unknown observe value `{other}` (on / off)"),
-                            ))
-                        }
-                    };
+                    req.observe = on_off(value).ok_or_else(|| {
+                        fail(line, format!("unknown observe value `{value}` (on / off)"))
+                    })?;
                 }
                 _ if Knob::slot_of(key).is_none() => {
                     return Err(fail(line, format!("unknown key `{key}`")))

@@ -174,22 +174,23 @@ impl Sweep {
         self
     }
 
-    /// Parses spec-valued axis items, remembering the first malformed
-    /// one so [`Sweep::run`] can report it instead of panicking here.
+    /// Parses spec-valued axis items, keeping a malformed one's error
+    /// so [`Sweep::run`] can report it instead of panicking here.
     fn specs<I, S>(&mut self, specs: I) -> Vec<PrefetcherSpec>
     where
         I: IntoIterator<Item = S>,
         S: TryInto<PrefetcherSpec>,
         S::Error: std::fmt::Display,
     {
-        let mut out = Vec::new();
-        for spec in specs {
-            match spec.try_into() {
-                Ok(s) => out.push(s),
-                Err(e) => self.spec_error = Some(e.to_string()),
-            }
-        }
-        out
+        let error = &mut self.spec_error;
+        specs
+            .into_iter()
+            .filter_map(|spec| {
+                spec.try_into()
+                    .map_err(|e| *error = Some(e.to_string()))
+                    .ok()
+            })
+            .collect()
     }
 
     /// Varies the workload axis.
@@ -506,10 +507,8 @@ impl Sweep {
         type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
         let mut canonicals: Vec<String> = Vec::with_capacity(n);
         let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
-        let mut cached_flags = vec![false; n];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, sim) in sims.iter().enumerate() {
-            match sim.canonical_input() {
+        for sim in &sims {
+            let slot = match sim.canonical_input() {
                 Ok(canonical) => {
                     let hit = match store {
                         Some(store) => store
@@ -517,27 +516,21 @@ impl Sweep {
                             .map_err(|e| SimError::Store(e.to_string()))?,
                         None => None,
                     };
-                    match hit {
-                        Some(record) => {
-                            cached_flags[i] = true;
-                            slots.push(Some(Ok((record.stats, None))));
-                        }
-                        None => {
-                            missing.push(i);
-                            slots.push(None);
-                        }
-                    }
                     canonicals.push(canonical);
+                    hit.map(|record| Ok((record.stats, None)))
                 }
+                // The configuration itself is invalid: the cell can never
+                // be cached, and simulating would fail the same way. Fail
+                // it now without touching the store.
                 Err(e) => {
-                    // The configuration itself is invalid: the cell can
-                    // never be cached, and simulating would fail the
-                    // same way. Fail it now without touching the store.
                     canonicals.push(format!("<unresolved config: {e}>"));
-                    slots.push(Some(Err(e)));
+                    Some(Err(e))
                 }
-            }
+            };
+            slots.push(slot);
         }
+        let cached_flags: Vec<bool> = slots.iter().map(|s| matches!(s, Some(Ok(_)))).collect();
+        let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
 
         // Build phase: only the groups that still have missing cells,
         // each from its first missing cell's builder.

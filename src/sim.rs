@@ -71,5 +71,6 @@ pub use imp_experiments::sim::{Sim, SimError};
 pub use imp_experiments::sweep::{
     CellOutcome, Sweep, SweepCell, SweepCellError, SweepReport, SweepResult,
 };
+pub use imp_experiments::Knob;
 // The underlying simulator, for code that assembles `System`s by hand.
 pub use imp_sim::{BuildError, RegistryError, System};
