@@ -482,7 +482,7 @@ mod tests {
         const THROTTLE: &str = "throttle:accuracy_floor=0.4,epoch=2000";
         let typed = || Sweep::from(Sim::workload("spmv").scale(Scale::Tiny));
         let canonicals =
-            |s: &Sweep| -> Vec<_> { s.sims().iter().map(Sim::canonical_input).collect() };
+            |s: &Sweep| -> Vec<_> { s.sims().map(|sim| sim.canonical_input()).collect() };
         for key in Knob::KEYS {
             let (value, sweep) = match key {
                 "workloads" => (format!("spmv, {CHAIN}"), typed().workloads(["spmv", CHAIN])),

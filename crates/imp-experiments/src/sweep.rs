@@ -397,27 +397,34 @@ impl Sweep {
     /// value. Any swept translation knob (the page-policy set included)
     /// upgrades an ideal template TLB to the finite defaults.
     pub fn cells(&self) -> Vec<SweepCell> {
-        self.sims().iter().map(Sim::cell).collect()
+        self.sims().map(|sim| sim.cell()).collect()
     }
 
     /// One builder per grid cell, in [`Sweep::cells`] order: the
     /// template with each axis value applied in table order, then the
     /// cell's derived generation seed.
-    pub(crate) fn sims(&self) -> Vec<Sim> {
-        let mut sims = vec![self.base.clone()];
-        for axis in &self.axes {
-            sims = sims
-                .iter()
-                .flat_map(|sim| axis.iter().map(|knob| knob.clone().apply(sim.clone())))
-                .collect();
-        }
+    pub(crate) fn sims(&self) -> impl Iterator<Item = Sim> + '_ {
+        let cells: usize = self.axes.iter().map(Vec::len).product();
         let seed = self.base.seed_value();
-        sims.into_iter()
-            .map(|sim| {
-                let cell_seed = cell_seed(seed, &sim.workload, sim.cores);
-                sim.seed(cell_seed)
-            })
-            .collect()
+        (0..cells).map(move |cell| {
+            // The cell's value index on each axis, the last varying
+            // fastest.
+            let mut picks = [0; Knob::KEYS.len()];
+            let mut rest = cell;
+            for (pick, axis) in picks.iter_mut().zip(&self.axes).rev() {
+                *pick = rest % axis.len();
+                rest /= axis.len();
+            }
+            let sim = self
+                .axes
+                .iter()
+                .zip(picks)
+                .fold(self.base.clone(), |sim, (axis, pick)| {
+                    axis[pick].clone().apply(sim)
+                });
+            let cell_seed = cell_seed(seed, &sim.workload, sim.cores);
+            sim.seed(cell_seed)
+        })
     }
 
     /// Runs every cell and returns results in [`Sweep::cells`] order.
@@ -498,7 +505,7 @@ impl Sweep {
         if let Some(e) = &self.spec_error {
             return Err(SimError::InvalidSpec(e.clone()));
         }
-        let sims = self.sims();
+        let sims: Vec<Sim> = self.sims().collect();
         let n = sims.len();
 
         // Probe phase: resolve each cell's canonical input and look it
@@ -726,7 +733,7 @@ mod tests {
 
     /// The canonical input of cell `i` of `sweep`.
     fn canonical(sweep: &Sweep, i: usize) -> String {
-        sweep.sims()[i].canonical_input().unwrap()
+        sweep.sims().nth(i).unwrap().canonical_input().unwrap()
     }
 
     #[test]
