@@ -42,7 +42,8 @@ pub struct SweepRequest {
     /// Request name (the file stem); names the manifest.
     pub name: String,
     /// The swept axes in the order given: each a non-empty list of one
-    /// knob's values (see [`Knob`] for every key and its value syntax).
+    /// knob's values (see [`SweepRequest::parse`] for every key and its
+    /// value syntax).
     /// `workloads` is required.
     pub axes: Vec<Vec<Knob>>,
     /// `scale = tiny | small | large` (default `tiny`).
@@ -438,6 +439,10 @@ mod tests {
         );
         let cells = req.to_sweep().cells();
         assert_eq!(cells.len(), 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(
+            (cells[16].cores, cells[32].workload.as_str()),
+            (64, "pagerank")
+        );
         // A spec keeps its own comma-separated parameters; managers vary
         // outside partial modes and dTLB ways (a stride of 4).
         let spec = |s: &str| s.parse::<PrefetcherSpec>().unwrap();
