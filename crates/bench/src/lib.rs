@@ -11,9 +11,8 @@
 //!   multi-panel figures (default: the paper's 16, 64, 256).
 
 use criterion::Criterion;
-use imp_experiments::{system_config, Config};
-use imp_sim::System;
-use imp_workloads::{by_name, Scale, WorkloadParams};
+use imp_experiments::{sim_for, Config};
+use imp_workloads::Scale;
 
 /// Writes `table` as a machine-readable `BENCH_<name>.json` perf
 /// snapshot into `IMP_BENCH_DIR` (default: the current directory) and
@@ -68,25 +67,44 @@ fn provenance_json() -> String {
 
 /// Core counts for multi-panel figures, from `IMP_BENCH_CORES` or the
 /// paper's default sweep.
+///
+/// # Panics
+///
+/// Panics if `IMP_BENCH_CORES` holds a token that is not a core count,
+/// or lists none.
 pub fn bench_core_counts() -> Vec<u32> {
     match std::env::var("IMP_BENCH_CORES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
+        Ok(s) => parse_core_counts(&s),
         Err(_) => vec![16, 64, 256],
     }
+}
+
+/// Parses a comma-separated core-count list; empty tokens are skipped.
+fn parse_core_counts(list: &str) -> Vec<u32> {
+    let counts: Vec<u32> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|t| {
+            t.parse()
+                .unwrap_or_else(|e| panic!("IMP_BENCH_CORES: bad core count {t:?}: {e}"))
+        })
+        .collect();
+    assert!(
+        !counts.is_empty(),
+        "IMP_BENCH_CORES lists no core count: {list:?}"
+    );
+    counts
 }
 
 /// Standard Criterion measurement attached to every figure bench: one
 /// fresh 16-core tiny-scale simulation of the given app/config.
 pub fn criterion_probe(c: &mut Criterion, name: &str, app: &'static str, config: Config) {
+    let sim = sim_for(app, 16, config).scale(Scale::Tiny);
     let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.bench_function("tiny_16c_probe", |b| {
-        b.iter(|| {
-            let params = WorkloadParams::new(16, Scale::Tiny);
-            let built = by_name(app).unwrap().build(&params);
-            let stats = System::new(system_config(16, config), built.program, built.mem).run();
-            std::hint::black_box(stats.runtime)
-        })
+        b.iter(|| std::hint::black_box(sim.run().unwrap_or_else(|e| panic!("{e}")).runtime))
     });
     group.finish();
 }
@@ -94,6 +112,23 @@ pub fn criterion_probe(c: &mut Criterion, name: &str, app: &'static str, config:
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn core_counts_skip_empty_tokens() {
+        assert_eq!(parse_core_counts("16, 64,"), vec![16, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad core count \"abc\"")]
+    fn a_bad_core_count_panics_with_the_token() {
+        parse_core_counts("16,abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "lists no core count")]
+    fn an_empty_core_count_list_panics() {
+        parse_core_counts(" , ");
+    }
 
     #[test]
     fn snapshot_embeds_provenance() {

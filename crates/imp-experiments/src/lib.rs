@@ -10,6 +10,8 @@
 //! map and reproduction caveats.
 //!
 //! Scale selection: set `IMP_SCALE=tiny|small|large` (default `small`).
+//! Result reuse: set `IMP_STORE_DIR=/path` to serve and persist every
+//! figure cell through that result store (default: no store).
 //!
 //! # Example
 //!
@@ -26,7 +28,7 @@ pub mod sweep;
 mod table;
 
 pub use knob::Knob;
-pub use runner::{prewarm, run, run_one, scale_from_env, sim_for, system_config, Config};
+pub use runner::{scale_from_env, sim_for, Config};
 pub use service::{RequestError, SweepRequest};
 pub use sim::{Sim, SimError};
 pub use sweep::{CellOutcome, Sweep, SweepCell, SweepCellError, SweepReport, SweepResult};
@@ -35,6 +37,7 @@ pub use table::{RowWidthError, Table};
 use imp_common::stats::AccessClass;
 use imp_common::SystemConfig;
 use imp_prefetch::cost;
+use runner::{grid, run};
 
 /// The paper's application order in every figure.
 pub const APPS: [&str; 7] = [
@@ -53,15 +56,13 @@ pub const CORE_COUNTS: [u32; 3] = [16, 64, 256];
 /// Figure 1: L1 cache-miss breakdown (indirect / stream / other) on the
 /// Baseline at 64 cores.
 pub fn fig01_miss_breakdown(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base]);
     let mut t = Table::new(
         format!("Fig 1: L1 miss breakdown, Baseline, {cores} cores"),
         vec!["indirect", "stream", "other"],
     );
     let mut avg = [0.0f64; 3];
-    for app in APPS {
-        let s = run(app, cores, Config::Base);
-        let m = s.misses_by_class();
+    for (app, [base]) in APPS.into_iter().zip(grid(&APPS, cores, [Config::Base])) {
+        let m = base.misses_by_class();
         let total: u64 = m.iter().sum::<u64>().max(1);
         let fr: Vec<f64> = m.iter().map(|&x| x as f64 / total as f64).collect();
         for (a, f) in avg.iter_mut().zip(fr.iter()) {
@@ -76,19 +77,12 @@ pub fn fig01_miss_breakdown(cores: u32) -> Table {
 /// Figure 2: runtime normalized to Ideal, split into indirect-stall and
 /// everything-else, plus the Perfect Prefetching bar.
 pub fn fig02_motivation(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[Config::Ideal, Config::Base, Config::PerfPref],
-    );
     let mut t = Table::new(
         format!("Fig 2: runtime normalized to Ideal, {cores} cores"),
         vec!["indirect-stall", "other", "total", "PerfPref"],
     );
-    for app in APPS {
-        let ideal = run(app, cores, Config::Ideal);
-        let base = run(app, cores, Config::Base);
-        let perf = run(app, cores, Config::PerfPref);
+    let configs = [Config::Ideal, Config::Base, Config::PerfPref];
+    for (app, [ideal, base, perf]) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
         let norm = base.runtime as f64 / ideal.runtime.max(1) as f64;
         let ind_stall: u64 = base
             .cores
@@ -113,21 +107,14 @@ pub fn fig02_motivation(cores: u32) -> Table {
 /// Figure 9: throughput of Baseline, IMP and Software Prefetching
 /// normalized to Perfect Prefetching, at the given core count.
 pub fn fig09_performance(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[Config::PerfPref, Config::Base, Config::Imp, Config::SwPref],
-    );
     let mut t = Table::new(
         format!("Fig 9: normalized throughput vs PerfPref, {cores} cores"),
         vec!["PerfPref", "Base", "IMP", "SW Pref"],
     );
     let mut sums = [0.0f64; 4];
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref).runtime as f64;
-        let base = run(app, cores, Config::Base).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
-        let sw = run(app, cores, Config::SwPref).runtime as f64;
+    let configs = [Config::PerfPref, Config::Base, Config::Imp, Config::SwPref];
+    for (app, row) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
+        let [perf, base, imp, sw] = row.map(|s| s.runtime as f64);
         let vals = vec![1.0, perf / base, perf / imp, perf / sw];
         for (s, v) in sums.iter_mut().zip(vals.iter()) {
             *s += v / APPS.len() as f64;
@@ -141,7 +128,6 @@ pub fn fig09_performance(cores: u32) -> Table {
 /// Table 3: prefetch coverage, accuracy and relative memory latency for
 /// the stream prefetcher alone vs stream + IMP.
 pub fn table3_effectiveness(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::PerfPref, Config::Base, Config::Imp]);
     let mut t = Table::new(
         format!("Table 3: prefetch effectiveness, {cores} cores"),
         vec![
@@ -149,11 +135,9 @@ pub fn table3_effectiveness(cores: u32) -> Table {
         ],
     );
     let mut sums = [0.0f64; 6];
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref);
+    let configs = [Config::PerfPref, Config::Base, Config::Imp];
+    for (app, [perf, base, imp]) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
         let perf_lat = perf.avg_memory_latency(1.0).max(1e-9);
-        let base = run(app, cores, Config::Base);
-        let imp = run(app, cores, Config::Imp);
         let vals = vec![
             base.coverage(),
             base.accuracy(),
@@ -174,15 +158,13 @@ pub fn table3_effectiveness(cores: u32) -> Table {
 /// Figure 10: instruction overhead of software prefetching (instruction
 /// counts normalized to Baseline).
 pub fn fig10_sw_overhead(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base, Config::Imp, Config::SwPref]);
     let mut t = Table::new(
         format!("Fig 10: instructions normalized to Baseline, {cores} cores"),
         vec!["Base", "IMP", "SW Pref"],
     );
-    for app in APPS {
-        let base = run(app, cores, Config::Base).total_instructions() as f64;
-        let imp = run(app, cores, Config::Imp).total_instructions() as f64;
-        let sw = run(app, cores, Config::SwPref).total_instructions() as f64;
+    let configs = [Config::Base, Config::Imp, Config::SwPref];
+    for (app, row) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
+        let [base, imp, sw] = row.map(|s| s.total_instructions() as f64);
         t.row(app, vec![1.0, imp / base, sw / base]);
     }
     t
@@ -191,27 +173,19 @@ pub fn fig10_sw_overhead(cores: u32) -> Table {
 /// Figure 11: IMP with partial cacheline accessing (NoC only, then NoC +
 /// DRAM) normalized to Perfect Prefetching, with Ideal for reference.
 pub fn fig11_partial(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[
-            Config::PerfPref,
-            Config::Imp,
-            Config::ImpPartialNoc,
-            Config::ImpPartialNocDram,
-            Config::Ideal,
-        ],
-    );
     let mut t = Table::new(
         format!("Fig 11: partial cacheline accessing, {cores} cores"),
         vec!["IMP", "Partial NoC", "Partial NoC+DRAM", "Ideal"],
     );
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
-        let pn = run(app, cores, Config::ImpPartialNoc).runtime as f64;
-        let pnd = run(app, cores, Config::ImpPartialNocDram).runtime as f64;
-        let ideal = run(app, cores, Config::Ideal).runtime as f64;
+    let configs = [
+        Config::PerfPref,
+        Config::Imp,
+        Config::ImpPartialNoc,
+        Config::ImpPartialNocDram,
+        Config::Ideal,
+    ];
+    for (app, row) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
+        let [perf, imp, pn, pnd, ideal] = row.map(|s| s.runtime as f64);
         t.row(app, vec![perf / imp, perf / pn, perf / pnd, perf / ideal]);
     }
     t
@@ -220,15 +194,13 @@ pub fn fig11_partial(cores: u32) -> Table {
 /// Figure 12: NoC and DRAM traffic of partial cacheline accessing
 /// normalized to full-line IMP.
 pub fn fig12_traffic(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Imp, Config::ImpPartialNocDram]);
     let mut t = Table::new(
         format!("Fig 12: traffic of partial accessing vs full lines, {cores} cores"),
         vec!["NoC traffic", "DRAM traffic"],
     );
     let mut sums = [0.0f64; 2];
-    for app in APPS {
-        let full = run(app, cores, Config::Imp);
-        let part = run(app, cores, Config::ImpPartialNocDram);
+    let configs = [Config::Imp, Config::ImpPartialNocDram];
+    for (app, [full, part]) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
         let vals = vec![
             part.traffic.noc_flit_hops as f64 / full.traffic.noc_flit_hops.max(1) as f64,
             part.traffic.dram_bytes() as f64 / full.traffic.dram_bytes().max(1) as f64,
@@ -246,18 +218,6 @@ pub fn fig12_traffic(cores: u32) -> Table {
 /// memory-bound and one compute-bound application, normalized to the
 /// out-of-order Baseline.
 pub fn fig13_ooo(cores: u32) -> Table {
-    prewarm(
-        &["pagerank", "sgd"],
-        cores,
-        &[
-            Config::BaseOoo,
-            Config::Base,
-            Config::Imp,
-            Config::ImpOoo,
-            Config::ImpPartialNocDram,
-            Config::ImpPartialOoo,
-        ],
-    );
     let mut t = Table::new(
         format!("Fig 13: in-order vs OoO cores, {cores} cores"),
         vec![
@@ -269,17 +229,19 @@ pub fn fig13_ooo(cores: u32) -> Table {
             "Partial ooo",
         ],
     );
-    for app in ["pagerank", "sgd"] {
-        let base_ooo = run(app, cores, Config::BaseOoo).runtime as f64;
-        let vals = vec![
-            base_ooo / run(app, cores, Config::Base).runtime as f64,
-            1.0,
-            base_ooo / run(app, cores, Config::Imp).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpOoo).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpPartialNocDram).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpPartialOoo).runtime as f64,
-        ];
-        t.row(app, vals);
+    let apps = ["pagerank", "sgd"];
+    let configs = [
+        Config::Base,
+        Config::BaseOoo,
+        Config::Imp,
+        Config::ImpOoo,
+        Config::ImpPartialNocDram,
+        Config::ImpPartialOoo,
+    ];
+    for (app, row) in apps.into_iter().zip(grid(&apps, cores, configs)) {
+        let runtimes = row.map(|s| s.runtime as f64);
+        let base_ooo = runtimes[1]; // the "Base ooo" column
+        t.row(app, runtimes.iter().map(|r| base_ooo / r).collect());
     }
     t
 }
@@ -287,40 +249,41 @@ pub fn fig13_ooo(cores: u32) -> Table {
 /// Figures 14/15/16: sensitivity to PT size, IPD size and max prefetch
 /// distance. `param` selects which knob; values are the paper's sweep.
 pub fn sensitivity(cores: u32, param: SweepParam) -> Table {
-    let (name, values) = match param {
-        SweepParam::PtSize => ("PT size", vec![8u32, 16, 32]),
-        SweepParam::IpdSize => ("IPD size", vec![2, 4, 8]),
-        SweepParam::Distance => ("max prefetch distance", vec![4, 8, 16, 32]),
+    let (name, values): (_, &[u32]) = match param {
+        SweepParam::PtSize => ("PT size", &[8, 16, 32]),
+        SweepParam::IpdSize => ("IPD size", &[2, 4, 8]),
+        SweepParam::Distance => ("max prefetch distance", &[4, 8, 16, 32]),
     };
     let headers: Vec<String> = values.iter().map(|v| format!("{name}={v}")).collect();
     let mut t = Table::new(
         format!("Sensitivity to {name}, {cores} cores (normalized to default)"),
         headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    prewarm(&APPS, cores, &[Config::Imp]);
-    // The swept knob lives inside ImpConfig, so the cells run as explicit
-    // configurations fanned across threads rather than as a Sweep axis.
-    let grid: Vec<(&str, u32)> = APPS
+    // The swept knob lives inside ImpConfig, so each app's cells are the
+    // default-IMP reference followed by one tuned IMP cell per value.
+    let sims: Vec<Sim> = APPS
         .iter()
-        .flat_map(|&app| values.iter().map(move |&v| (app, v)))
+        .flat_map(|&app| {
+            let imp = sim_for(app, cores, Config::Imp);
+            let tuned: Vec<Sim> = values
+                .iter()
+                .map(|&v| {
+                    imp.clone().tune_imp(|c| match param {
+                        SweepParam::PtSize => c.pt_entries = v as usize,
+                        SweepParam::IpdSize => c.ipd_entries = v as usize,
+                        SweepParam::Distance => c.max_prefetch_distance = v,
+                    })
+                })
+                .collect();
+            std::iter::once(imp).chain(tuned)
+        })
         .collect();
-    let threads = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let runtimes = sweep::fanout(grid.len(), threads, |i| {
-        let (app, v) = grid[i];
-        let mut cfg = runner::system_config(cores, Config::Imp);
-        match param {
-            SweepParam::PtSize => cfg.imp.pt_entries = v as usize,
-            SweepParam::IpdSize => cfg.imp.ipd_entries = v as usize,
-            SweepParam::Distance => cfg.imp.max_prefetch_distance = v,
-        }
-        run_one(app, cfg).runtime as f64
-    });
-    for (a, app) in APPS.iter().enumerate() {
-        let reference = run(app, cores, Config::Imp).runtime as f64;
-        let row: Vec<f64> = (0..values.len())
-            .map(|j| reference / runtimes[a * values.len() + j])
+    let stats = run(&sims);
+    for (app, cells) in APPS.into_iter().zip(stats.chunks(values.len() + 1)) {
+        let reference = cells[0].runtime as f64;
+        let row = cells[1..]
+            .iter()
+            .map(|s| reference / s.runtime as f64)
             .collect();
         t.row(app, row);
     }
@@ -341,15 +304,13 @@ pub enum SweepParam {
 /// Section 6.1's GHB comparison: a correlation prefetcher on top of the
 /// stream prefetcher provides no benefit on these workloads.
 pub fn ghb_comparison(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base, Config::Ghb, Config::Imp]);
     let mut t = Table::new(
         format!("GHB vs Baseline vs IMP, {cores} cores (throughput vs Base)"),
         vec!["Base", "GHB", "IMP"],
     );
-    for app in APPS {
-        let base = run(app, cores, Config::Base).runtime as f64;
-        let ghb = run(app, cores, Config::Ghb).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
+    let configs = [Config::Base, Config::Ghb, Config::Imp];
+    for (app, row) in APPS.into_iter().zip(grid(&APPS, cores, configs)) {
+        let [base, ghb, imp] = row.map(|s| s.runtime as f64);
         t.row(app, vec![1.0, base / ghb, base / imp]);
     }
     t
@@ -361,8 +322,7 @@ pub fn no_harm(cores: u32) -> Table {
         format!("No-harm check on dense workload, {cores} cores"),
         vec!["Base runtime", "IMP runtime", "IMP/Base"],
     );
-    let base = run("dense", cores, Config::Base);
-    let imp = run("dense", cores, Config::Imp);
+    let [base, imp] = &grid(&["dense"], cores, [Config::Base, Config::Imp])[0];
     t.row(
         "dense",
         vec![

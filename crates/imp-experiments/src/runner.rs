@@ -1,19 +1,18 @@
-//! Shared simulation runner: maps the paper's named configurations onto
-//! the fluent [`Sim`] builder, runs them, and serves repeated requests
-//! from the content-addressed result store (several figures reuse the
-//! same runs, and `IMP_STORE_DIR` makes the cache survive the process —
-//! a re-run of a figure driver simulates nothing it already has).
-//! [`prewarm`] fans a figure's whole config grid across threads before
-//! the driver reads the store.
+//! Figure runner: maps the paper's named configurations onto the fluent
+//! [`Sim`] builder ([`sim_for`]) and runs a figure's cells through the
+//! sweep engine, the same one behind `Sweep` and `imp-sweepd`: each
+//! distinct input is built once and shared, the cells fan out across
+//! threads, and with `IMP_STORE_DIR` set every cell is served from or
+//! persisted to that result store — a re-run of a figure driver
+//! simulates nothing it already has. Without `IMP_STORE_DIR` the drivers
+//! run without a store.
 
 use crate::sim::Sim;
-use crate::sweep::fanout;
+use crate::sweep::execute;
 use imp_common::config::{CoreModel, MemMode, PartialMode, PrefetcherKind};
 use imp_common::{SystemConfig, SystemStats};
-use imp_store::{ResultStore, StoredResult};
+use imp_store::ResultStore;
 use imp_workloads::Scale;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// The paper's evaluated configurations (Section 5.4 plus Section 4/6.3
 /// variants).
@@ -43,32 +42,6 @@ pub enum Config {
     ImpPartialOoo,
 }
 
-/// Builds the [`SystemConfig`] for a paper configuration at `cores`.
-pub fn system_config(cores: u32, c: Config) -> SystemConfig {
-    let base = SystemConfig::paper_default(cores);
-    match c {
-        Config::Ideal => base.with_mem_mode(MemMode::Ideal),
-        Config::PerfPref => base.with_mem_mode(MemMode::PerfectPrefetch),
-        Config::Base | Config::SwPref => base,
-        Config::Imp => base.with_prefetcher(PrefetcherKind::Imp),
-        Config::ImpPartialNoc => base
-            .with_prefetcher(PrefetcherKind::Imp)
-            .with_partial(PartialMode::NocOnly),
-        Config::ImpPartialNocDram => base
-            .with_prefetcher(PrefetcherKind::Imp)
-            .with_partial(PartialMode::NocAndDram),
-        Config::Ghb => base.with_prefetcher(PrefetcherKind::Ghb),
-        Config::BaseOoo => base.with_core_model(CoreModel::OutOfOrder),
-        Config::ImpOoo => base
-            .with_prefetcher(PrefetcherKind::Imp)
-            .with_core_model(CoreModel::OutOfOrder),
-        Config::ImpPartialOoo => base
-            .with_prefetcher(PrefetcherKind::Imp)
-            .with_partial(PartialMode::NocAndDram)
-            .with_core_model(CoreModel::OutOfOrder),
-    }
-}
-
 /// Input scale from the `IMP_SCALE` environment variable; unset or
 /// unrecognised values fall back to `Small`.
 pub fn scale_from_env() -> Scale {
@@ -78,125 +51,140 @@ pub fn scale_from_env() -> Scale {
         .unwrap_or(Scale::Small)
 }
 
-/// The runner's result store: `IMP_STORE_DIR` if set (shared across
-/// processes and runs — this is what makes figure drivers resumable),
-/// otherwise a per-process scratch directory (the old in-memory cache
-/// semantics: reuse within a run, nothing left behind to go stale).
-fn store() -> &'static ResultStore {
-    static STORE: OnceLock<ResultStore> = OnceLock::new();
-    STORE.get_or_init(|| {
-        let root = std::env::var_os("IMP_STORE_DIR").map_or_else(
-            || std::env::temp_dir().join(format!("imp-store-{}", std::process::id())),
-            PathBuf::from,
-        );
-        ResultStore::open(&root)
-            .unwrap_or_else(|e| panic!("opening result store {}: {e}", root.display()))
-    })
-}
-
 /// The [`Sim`] builder for `app` at `cores` under the paper
 /// configuration `config`, at the `IMP_SCALE` input scale.
 pub fn sim_for(app: &str, cores: u32, config: Config) -> Sim {
-    let mut sim = Sim::from_config(app, system_config(cores, config)).scale(scale_from_env());
-    if config == Config::SwPref {
-        sim = sim.software_prefetch(16);
+    let sim = Sim::from_config(app, SystemConfig::paper_default(cores)).scale(scale_from_env());
+    let imp = |sim: Sim| sim.prefetcher(PrefetcherKind::Imp);
+    match config {
+        Config::Ideal => sim.mem_mode(MemMode::Ideal),
+        Config::PerfPref => sim.mem_mode(MemMode::PerfectPrefetch),
+        Config::Base => sim,
+        Config::Imp => imp(sim),
+        Config::ImpPartialNoc => imp(sim).partial(PartialMode::NocOnly),
+        Config::ImpPartialNocDram => imp(sim).partial(PartialMode::NocAndDram),
+        Config::SwPref => sim.software_prefetch(16),
+        Config::Ghb => sim.prefetcher(PrefetcherKind::Ghb),
+        Config::BaseOoo => sim.core_model(CoreModel::OutOfOrder),
+        Config::ImpOoo => imp(sim).core_model(CoreModel::OutOfOrder),
+        Config::ImpPartialOoo => imp(sim)
+            .partial(PartialMode::NocAndDram)
+            .core_model(CoreModel::OutOfOrder),
     }
-    sim
 }
 
-/// Runs `app` at `cores` under configuration `config`, served from the
-/// result store when the identical input (every timing knob, scale
-/// included — the full [`Sim::canonical_input`]) has already run.
-/// Fresh results are persisted; a failed store *write* only costs a
-/// re-simulation later, never correctness.
+/// Runs `apps` × `configs` at `cores` as one grid ([`run`]); row `a`
+/// holds app `a`'s statistics in `configs` order.
+pub(crate) fn grid<const N: usize>(
+    apps: &[&str],
+    cores: u32,
+    configs: [Config; N],
+) -> Vec<[SystemStats; N]> {
+    let sims: Vec<Sim> = apps
+        .iter()
+        .flat_map(|&app| configs.map(|c| sim_for(app, cores, c)))
+        .collect();
+    let mut stats = run(&sims).into_iter();
+    apps.iter()
+        .map(|_| std::array::from_fn(|_| stats.next().expect("one result per cell")))
+        .collect()
+}
+
+/// Runs `sims` through the sweep engine against the `IMP_STORE_DIR`
+/// store, when set, and returns their statistics in order.
 ///
 /// # Panics
 ///
-/// Panics if the workload name is unknown or the configuration does
-/// not resolve.
-pub fn run(app: &str, cores: u32, config: Config) -> SystemStats {
-    let sim = sim_for(app, cores, config);
-    let canonical = sim.canonical_input().unwrap_or_else(|e| panic!("{e}"));
-    // A store read *error* (not a corrupt record — those are misses)
-    // falls through to simulation: the store is an accelerator here,
-    // never a gate.
-    if let Ok(Some(hit)) = store().get(&canonical) {
-        return hit.stats;
+/// Panics if the store cannot be opened or read, or if any cell fails
+/// (an unknown workload, a configuration that does not resolve).
+pub(crate) fn run(sims: &[Sim]) -> Vec<SystemStats> {
+    let store = std::env::var_os("IMP_STORE_DIR").map(|root| {
+        ResultStore::open(&root).unwrap_or_else(|e| panic!("opening result store {root:?}: {e}"))
+    });
+    run_in(store.as_ref(), sims)
+}
+
+/// [`run`] against an explicit store. A failed store *write* only costs
+/// a re-simulation later, so it is a warning here, not an error.
+fn run_in(store: Option<&ResultStore>, sims: &[Sim]) -> Vec<SystemStats> {
+    let report = execute(sims, store, None, None, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+    if let Some(e) = &report.store_error {
+        eprintln!("warning: result store write failed: {e}");
     }
-    let stats = sim.run().unwrap_or_else(|e| panic!("{e}"));
-    let _ = store().put(&StoredResult {
-        canonical,
-        cell: sim.cell(),
-        stats: stats.clone(),
-    });
-    stats
-}
-
-/// Runs every (app, config) pair of a figure's grid in parallel, filling
-/// the store the drivers then read sequentially. Already-stored cells
-/// cost nothing; the speedup is bounded by the slowest cell.
-pub fn prewarm(apps: &[&str], cores: u32, configs: &[Config]) {
-    let grid: Vec<(&str, Config)> = apps
-        .iter()
-        .flat_map(|&app| configs.iter().map(move |&c| (app, c)))
-        .collect();
-    let threads = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    fanout(grid.len(), threads, |i| {
-        let (app, config) = grid[i];
-        run(app, cores, config);
-    });
-}
-
-/// Runs `app` under an explicit (possibly customized) system
-/// configuration; not cached.
-pub fn run_one(app: &str, cfg: SystemConfig) -> SystemStats {
-    Sim::from_config(app, cfg)
-        .scale(scale_from_env())
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
+    report
+        .results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")).stats)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::APPS;
 
     #[test]
     fn configs_map_to_expected_modes() {
-        assert_eq!(system_config(16, Config::Ideal).mem_mode, MemMode::Ideal);
-        assert_eq!(system_config(16, Config::Base).prefetcher.name, "stream");
-        assert_eq!(system_config(16, Config::Imp).prefetcher.name, "imp");
+        let config = |c| sim_for("spmv", 16, c).config().unwrap();
+        assert_eq!(config(Config::Ideal).mem_mode, MemMode::Ideal);
+        assert_eq!(config(Config::Base).prefetcher.name, "stream");
+        assert_eq!(config(Config::Imp).prefetcher.name, "imp");
         assert_eq!(
-            system_config(16, Config::ImpPartialNocDram).partial,
+            config(Config::ImpPartialNocDram).partial,
             PartialMode::NocAndDram
         );
-        assert_eq!(
-            system_config(16, Config::ImpOoo).core_model,
-            CoreModel::OutOfOrder
+        assert_eq!(config(Config::ImpOoo).core_model, CoreModel::OutOfOrder);
+        // Software prefetching changes the program, not the hardware.
+        assert_eq!(config(Config::SwPref), config(Config::Base));
+        // The canonical keys distinguish paper configs even at one
+        // (app, cores) coordinate.
+        let canonical = |c| sim_for("dense", 4, c).canonical_input().unwrap();
+        assert_ne!(canonical(Config::Ideal), canonical(Config::Base));
+        assert_ne!(
+            canonical(Config::Base),
+            canonical(Config::SwPref),
+            "software prefetch is part of the key"
         );
     }
 
     #[test]
-    fn run_caches_identical_requests_through_the_store() {
-        std::env::set_var("IMP_SCALE", "tiny");
-        let a = run("dense", 4, Config::Ideal);
-        let puts_after_first = store().counters().puts;
-        let b = run("dense", 4, Config::Ideal);
-        assert_eq!(a, b, "store round-trip is bit-identical");
-        assert!(a.runtime > 0);
-        assert!(puts_after_first >= 1, "first run persisted");
-        assert!(store().counters().hits >= 1, "second run hit the store");
-        // The canonical keys distinguish paper configs even at one
-        // (app, cores) coordinate.
-        let ideal = sim_for("dense", 4, Config::Ideal)
-            .canonical_input()
-            .unwrap();
-        let base = sim_for("dense", 4, Config::Base).canonical_input().unwrap();
-        let swpf = sim_for("dense", 4, Config::SwPref)
-            .canonical_input()
-            .unwrap();
-        assert_ne!(ideal, base);
-        assert_ne!(base, swpf, "software prefetch is part of the key");
+    fn software_prefetch_cells_build_their_own_input() {
+        let sims: Vec<Sim> = [Config::Base, Config::SwPref, Config::Imp]
+            .map(|c| sim_for("spmv", 16, c).scale(Scale::Tiny))
+            .to_vec();
+        let stats = run_in(None, &sims);
+        for (sim, stats) in sims.iter().zip(&stats) {
+            assert_eq!(*stats, sim.run().unwrap(), "{:?}", sim.cell());
+        }
+        assert_ne!(
+            stats[0], stats[1],
+            "the software-prefetched program differs"
+        );
+    }
+
+    #[test]
+    fn a_warm_figure_grid_simulates_nothing() {
+        let dir = std::env::temp_dir().join(format!("imp-runner-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let sims: Vec<Sim> = APPS[..2]
+            .iter()
+            .flat_map(|&app| {
+                [Config::Base, Config::Imp, Config::SwPref]
+                    .map(|c| sim_for(app, 16, c).scale(Scale::Tiny))
+            })
+            .collect();
+        let cold = run_in(Some(&store), &sims);
+        assert_eq!(
+            store.counters().puts,
+            6,
+            "the cold pass persists every cell"
+        );
+        let warm = run_in(Some(&store), &sims);
+        let counters = store.counters();
+        assert_eq!(counters.puts, 6, "the warm pass simulates nothing");
+        assert_eq!(counters.hits, 6, "every warm cell is served from the store");
+        assert_eq!(cold, warm, "store round-trip is bit-identical");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -571,6 +571,18 @@ impl Sim {
             .collect())
     }
 
+    /// Every input [`Sim::build_artifact`] reads: builders with equal
+    /// inputs can share one built artifact.
+    pub(crate) fn input(&self) -> (&str, u32, u64, Scale, Option<u64>) {
+        (
+            &self.workload,
+            self.cores,
+            self.seed,
+            self.scale,
+            self.sw_prefetch,
+        )
+    }
+
     /// Builds the workload into a shareable [`BuiltArtifact`] without
     /// running it.
     ///

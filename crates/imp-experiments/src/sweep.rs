@@ -14,14 +14,16 @@
 //! prefetcher or partial mode run the *same* generated input (the
 //! comparison the paper's figures make).
 //!
-//! Cells sharing an input do not rebuild it: the grid is grouped by its
-//! distinct (workload, cores, seed) coordinates — scale and
-//! software-prefetch settings come from the template and are constant
-//! across the grid — each group's [`imp_workloads::BuiltArtifact`] is
-//! built exactly once, and the prefetcher × partial cells fan out over
-//! the shared artifact ([`Sim::run_on`]). Because artifacts are
-//! immutable to the simulator, the statistics are bit-identical to
-//! rebuilding per cell; only the wall-clock changes.
+//! Cells sharing an input do not rebuild it: the cells are grouped by
+//! every input the workload build reads — workload, cores, seed, scale
+//! and software-prefetch distance — each group's
+//! [`imp_workloads::BuiltArtifact`] is built exactly once, and the
+//! hardware-only variants fan out over the shared artifact
+//! ([`Sim::run_on`]). The same engine runs the paper-figure drivers'
+//! grids, which mix software prefetching with hardware configurations
+//! of one application. Because artifacts are immutable to the
+//! simulator, the statistics are bit-identical to rebuilding per cell;
+//! only the wall-clock changes.
 //!
 //! ```
 //! use imp_experiments::{Sim, Sweep};
@@ -464,7 +466,7 @@ impl Sweep {
             }
             None => None,
         };
-        Ok(self.execute(store.as_ref(), |_| {})?.results)
+        Ok(self.run_in(store.as_ref(), |_| {})?.results)
     }
 
     /// Runs the grid against `store`, streaming each cell's outcome to
@@ -488,17 +490,12 @@ impl Sweep {
     where
         F: FnMut(&CellOutcome),
     {
-        self.execute(Some(store), on_cell)
+        self.run_in(Some(store), on_cell)
     }
 
-    /// The one execution engine behind [`Sweep::run_partial`] and
-    /// [`Sweep::run_with`]; without a store every cell is a miss.
+    /// Checks the grid parses, then runs its cells through [`execute`].
     #[allow(clippy::result_large_err)]
-    fn execute<F>(
-        &self,
-        store: Option<&ResultStore>,
-        mut on_cell: F,
-    ) -> Result<SweepReport, SimError>
+    fn run_in<F>(&self, store: Option<&ResultStore>, on_cell: F) -> Result<SweepReport, SimError>
     where
         F: FnMut(&CellOutcome),
     {
@@ -506,145 +503,165 @@ impl Sweep {
             return Err(SimError::InvalidSpec(e.clone()));
         }
         let sims: Vec<Sim> = self.sims().collect();
-        let n = sims.len();
+        execute(&sims, store, self.threads, self.observe, on_cell)
+    }
+}
 
-        // Probe phase: resolve each cell's canonical input and look it
-        // up. Sequential and cheap — config resolution plus one read
-        // per cell; no workload is built here.
-        type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
-        let mut canonicals: Vec<String> = Vec::with_capacity(n);
-        let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
-        for sim in &sims {
-            let slot = match sim.canonical_input() {
-                Ok(canonical) => {
-                    let hit = match store {
-                        Some(store) => store
-                            .get(&canonical)
-                            .map_err(|e| SimError::Store(e.to_string()))?,
-                        None => None,
-                    };
-                    canonicals.push(canonical);
-                    hit.map(|record| Ok((record.stats, None)))
+/// The one execution engine, behind [`Sweep::run_partial`],
+/// [`Sweep::run_with`] and the figure drivers: runs `sims` on up to
+/// `threads` workers (default: available parallelism), serving cells
+/// already in `store` and persisting fresh ones. Without a store every
+/// cell is a miss. Cells sharing an input ([`input_groups`]) run over one
+/// built artifact. `observe` attaches an [`ObsSummary`] to every freshly
+/// simulated cell. Outcomes stream to `on_cell` in `sims` order.
+///
+/// # Errors
+///
+/// Only a store that cannot be *read* fails the run; per-cell failures
+/// come back in their result slots.
+#[allow(clippy::result_large_err)]
+pub(crate) fn execute<F>(
+    sims: &[Sim],
+    store: Option<&ResultStore>,
+    threads: Option<usize>,
+    observe: Option<ObsConfig>,
+    mut on_cell: F,
+) -> Result<SweepReport, SimError>
+where
+    F: FnMut(&CellOutcome),
+{
+    let n = sims.len();
+
+    // Probe phase: resolve each cell's canonical input and look it
+    // up. Sequential and cheap — config resolution plus one read
+    // per cell; no workload is built here.
+    type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
+    let mut canonicals: Vec<String> = Vec::with_capacity(n);
+    let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
+    for sim in sims {
+        let slot = match sim.canonical_input() {
+            Ok(canonical) => {
+                let hit = match store {
+                    Some(store) => store
+                        .get(&canonical)
+                        .map_err(|e| SimError::Store(e.to_string()))?,
+                    None => None,
+                };
+                canonicals.push(canonical);
+                hit.map(|record| Ok((record.stats, None)))
+            }
+            // The configuration itself is invalid: the cell can never
+            // be cached, and simulating would fail the same way. Fail
+            // it now without touching the store.
+            Err(e) => {
+                canonicals.push(format!("<unresolved config: {e}>"));
+                Some(Err(e))
+            }
+        };
+        slots.push(slot);
+    }
+    let cached_flags: Vec<bool> = slots.iter().map(|s| matches!(s, Some(Ok(_)))).collect();
+    let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+
+    // Build phase: only the groups that still have missing cells,
+    // each from its first missing cell's builder.
+    let threads = threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    });
+    let (groups, group_of) = input_groups(missing.iter().map(|&i| &sims[i]));
+    let artifacts = fanout(groups.len(), threads, |g| {
+        sims[missing[groups[g]]].build_artifact()
+    });
+
+    // Simulate the missing cells across workers while the calling
+    // thread delivers outcomes in deterministic cell order; a
+    // reorder slot buffers cells that finish early.
+    let store_error: Mutex<Option<String>> = Mutex::new(None);
+    let mut report = SweepReport {
+        results: Vec::with_capacity(n),
+        cached: cached_flags.iter().filter(|&&c| c).count(),
+        simulated: 0,
+        failed: 0,
+        store_error: None,
+    };
+    let mut delivered = 0;
+    let mut flush = |slots: &mut [Option<CellRun>]| {
+        while let Some(run) = slots.get_mut(delivered).and_then(Option::take) {
+            let cell = sims[delivered].cell();
+            let result = match run {
+                Ok((stats, obs)) => {
+                    if !cached_flags[delivered] {
+                        report.simulated += 1;
+                    }
+                    Ok(SweepResult { cell, stats, obs })
                 }
-                // The configuration itself is invalid: the cell can never
-                // be cached, and simulating would fail the same way. Fail
-                // it now without touching the store.
-                Err(e) => {
-                    canonicals.push(format!("<unresolved config: {e}>"));
-                    Some(Err(e))
+                Err(error) => {
+                    report.failed += 1;
+                    Err(SweepCellError {
+                        canonical: canonicals[delivered].clone(),
+                        cell,
+                        error,
+                    })
                 }
             };
-            slots.push(slot);
+            let outcome = CellOutcome {
+                index: delivered,
+                canonical: canonicals[delivered].clone(),
+                digest: cell_digest(&canonicals[delivered]),
+                cached: cached_flags[delivered],
+                result,
+            };
+            on_cell(&outcome);
+            report.results.push(outcome.result);
+            delivered += 1;
         }
-        let cached_flags: Vec<bool> = slots.iter().map(|s| matches!(s, Some(Ok(_)))).collect();
-        let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-
-        // Build phase: only the groups that still have missing cells,
-        // each from its first missing cell's builder.
-        let threads = self.thread_count(missing.len());
-        let (groups, group_of) = input_groups(missing.iter().map(|&i| &sims[i]));
-        let artifacts = fanout(groups.len(), threads, |g| {
-            sims[missing[groups[g]]].build_artifact()
-        });
-
-        // Simulate the missing cells across workers while the calling
-        // thread delivers outcomes in deterministic cell order; a
-        // reorder slot buffers cells that finish early.
-        let store_error: Mutex<Option<String>> = Mutex::new(None);
-        let mut report = SweepReport {
-            results: Vec::with_capacity(n),
-            cached: cached_flags.iter().filter(|&&c| c).count(),
-            simulated: 0,
-            failed: 0,
-            store_error: None,
-        };
-        let mut delivered = 0;
-        let mut flush = |slots: &mut [Option<CellRun>]| {
-            while let Some(run) = slots.get_mut(delivered).and_then(Option::take) {
-                let cell = sims[delivered].cell();
-                let result = match run {
-                    Ok((stats, obs)) => {
-                        if !cached_flags[delivered] {
-                            report.simulated += 1;
-                        }
-                        Ok(SweepResult { cell, stats, obs })
-                    }
-                    Err(error) => {
-                        report.failed += 1;
-                        Err(SweepCellError {
-                            canonical: canonicals[delivered].clone(),
-                            cell,
-                            error,
-                        })
-                    }
-                };
-                let outcome = CellOutcome {
-                    index: delivered,
-                    canonical: canonicals[delivered].clone(),
-                    digest: cell_digest(&canonicals[delivered]),
-                    cached: cached_flags[delivered],
-                    result,
-                };
-                on_cell(&outcome);
-                report.results.push(outcome.result);
-                delivered += 1;
+    };
+    flush(&mut slots);
+    let simulate = |k: usize| {
+        let (i, sim) = (missing[k], &sims[missing[k]]);
+        let outcome = artifacts[group_of[k]]
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|artifact| run_cell(sim, artifact, observe));
+        if let (Some(store), Ok((stats, _))) = (store, &outcome) {
+            let record = StoredResult {
+                canonical: canonicals[i].clone(),
+                cell: sim.cell(),
+                stats: stats.clone(),
+            };
+            if let Err(e) = store.put(&record) {
+                store_error
+                    .lock()
+                    .expect("store-error slot")
+                    .get_or_insert_with(|| e.to_string());
             }
-        };
+        }
+        (i, outcome)
+    };
+    pool(missing.len(), threads, simulate, |_, (i, outcome)| {
+        slots[i] = Some(outcome);
         flush(&mut slots);
-        let simulate = |k: usize| {
-            let (i, sim) = (missing[k], &sims[missing[k]]);
-            let outcome = artifacts[group_of[k]]
-                .as_ref()
-                .map_err(Clone::clone)
-                .and_then(|artifact| self.run_cell(sim, artifact));
-            if let (Some(store), Ok((stats, _))) = (store, &outcome) {
-                let record = StoredResult {
-                    canonical: canonicals[i].clone(),
-                    cell: sim.cell(),
-                    stats: stats.clone(),
-                };
-                if let Err(e) = store.put(&record) {
-                    store_error
-                        .lock()
-                        .expect("store-error slot")
-                        .get_or_insert_with(|| e.to_string());
-                }
-            }
-            (i, outcome)
-        };
-        pool(missing.len(), threads, simulate, |_, (i, outcome)| {
-            slots[i] = Some(outcome);
-            flush(&mut slots);
-        });
-        report.store_error = store_error.into_inner().expect("store-error slot");
-        Ok(report)
-    }
+    });
+    report.store_error = store_error.into_inner().expect("store-error slot");
+    Ok(report)
+}
 
-    /// Runs one cell over its shared artifact, observing when
-    /// [`Sweep::observe`] asked for it. Statistics are identical either
-    /// way; only the summary is extra.
-    fn run_cell(
-        &self,
-        sim: &Sim,
-        artifact: &BuiltArtifact,
-    ) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
-        match self.observe.filter(ObsConfig::enabled) {
-            Some(cfg) => {
-                let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
-                Ok((stats, Some(report.summary())))
-            }
-            None => Ok((sim.run_on(artifact)?, None)),
+/// Runs one cell over its shared artifact, observing when `observe`
+/// asks for it. Statistics are identical either way; only the summary
+/// is extra.
+fn run_cell(
+    sim: &Sim,
+    artifact: &BuiltArtifact,
+    observe: Option<ObsConfig>,
+) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
+    match observe.filter(ObsConfig::enabled) {
+        Some(cfg) => {
+            let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
+            Ok((stats, Some(report.summary())))
         }
-    }
-
-    fn thread_count(&self, work: usize) -> usize {
-        self.threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(usize::from)
-                    .unwrap_or(1)
-            })
-            .min(work.max(1))
+        None => Ok((sim.run_on(artifact)?, None)),
     }
 }
 
@@ -657,19 +674,19 @@ fn cell_seed(base: u64, workload: &str, cores: u32) -> u64 {
     SplitMix64::new(base ^ h ^ u64::from(cores)).next_u64()
 }
 
-/// Groups cells by distinct generated input (workload, cores, seed).
-/// Returns, per group, the position of its first cell in `sims`, and,
-/// per cell, its group index.
+/// Groups cells by distinct generated input ([`Sim::input`]). Returns,
+/// per group, the position of its first cell in `sims`, and, per cell,
+/// its group index.
 fn input_groups<'a, I>(sims: I) -> (Vec<usize>, Vec<usize>)
 where
     I: Iterator<Item = &'a Sim>,
 {
-    let mut keys: Vec<(&str, u32, u64)> = Vec::new();
+    let mut keys = Vec::new();
     let mut firsts = Vec::new();
     let group_of = sims
         .enumerate()
         .map(|(k, sim)| {
-            let key = (sim.workload.as_str(), sim.cores, sim.seed_value());
+            let key = sim.input();
             keys.iter().position(|g| *g == key).unwrap_or_else(|| {
                 keys.push(key);
                 firsts.push(k);
