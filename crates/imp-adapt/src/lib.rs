@@ -267,20 +267,6 @@ pub struct EpochTracker {
     prev_dram_bytes: u64,
 }
 
-fn sub_counts(now: &LedgerCounts, prev: &LedgerCounts) -> LedgerCounts {
-    LedgerCounts {
-        issued: now.issued - prev.issued,
-        fills: now.fills - prev.fills,
-        used: now.used - prev.used,
-        late: now.late - prev.late,
-        evicted_unused: now.evicted_unused - prev.evicted_unused,
-    }
-}
-
-fn is_zero(c: &LedgerCounts) -> bool {
-    c.issued == 0 && c.fills == 0 && c.used == 0 && c.late == 0 && c.evicted_unused == 0
-}
-
 impl EpochTracker {
     /// A fresh tracker (epoch 0 starts at cycle 0).
     pub fn new() -> Self {
@@ -306,26 +292,20 @@ impl EpochTracker {
         noc_flit_hops: u64,
         dram_bytes: u64,
     ) -> Feedback {
-        let total = sub_counts(ledger.total(), &self.prev_total);
+        let total = ledger.total().sub(&self.prev_total);
         let cur_pc = ledger.per_pc();
         let mut per_pc = Vec::new();
         for (pc, c) in &cur_pc {
             let prev = self.prev_per_pc.get(pc).copied().unwrap_or_default();
-            let d = sub_counts(c, &prev);
-            if !is_zero(&d) {
+            let d = c.sub(&prev);
+            if d != LedgerCounts::default() {
                 per_pc.push((*pc, d));
             }
         }
         let cur_class = ledger.per_class();
-        let mut per_class: [LedgerCounts; AccessClass::ALL.len()] = Default::default();
-        for (i, c) in cur_class.iter().enumerate() {
-            per_class[i] = sub_counts(c, &self.prev_per_class[i]);
-        }
+        let per_class = std::array::from_fn(|i| cur_class[i].sub(&self.prev_per_class[i]));
         let cur_hop = ledger.per_hop();
-        let mut per_hop: [LedgerCounts; imp_obs::MAX_HOPS] = Default::default();
-        for (i, c) in cur_hop.iter().enumerate() {
-            per_hop[i] = sub_counts(c, &self.prev_per_hop[i]);
-        }
+        let per_hop = std::array::from_fn(|i| cur_hop[i].sub(&self.prev_per_hop[i]));
         let fb = Feedback {
             epoch: self.epoch,
             start: self.prev_start,
@@ -439,14 +419,7 @@ mod tests {
         assert_eq!(fb1.dram_bytes, 640);
 
         // Summed deltas equal the cumulative ledger.
-        let mut sum = LedgerCounts::default();
-        for fb in [&fb0, &fb1] {
-            sum.issued += fb.total.issued;
-            sum.fills += fb.total.fills;
-            sum.used += fb.total.used;
-            sum.late += fb.total.late;
-            sum.evicted_unused += fb.total.evicted_unused;
-        }
+        let sum = imp_obs::merge_counts([&fb0.total, &fb1.total].into_iter());
         assert_eq!(&sum, ledger.total());
         // Per-PC deltas reconcile too; all-zero PCs are omitted.
         assert_eq!(fb1.per_pc.len(), 1);

@@ -19,14 +19,6 @@ enum LineState {
     Resident,
 }
 
-fn add(sum: &mut LedgerCounts, d: &LedgerCounts) {
-    sum.issued += d.issued;
-    sum.fills += d.fills;
-    sum.used += d.used;
-    sum.late += d.late;
-    sum.evicted_unused += d.evicted_unused;
-}
-
 proptest! {
     #[test]
     fn epoch_deltas_reconcile_with_ledger_totals(
@@ -90,10 +82,7 @@ proptest! {
         prop_assert_eq!(epochs[0].start, 0);
 
         // Totals: the deltas sum to the cumulative ledger exactly.
-        let mut sum = LedgerCounts::default();
-        for fb in &epochs {
-            add(&mut sum, &fb.total);
-        }
+        let sum = merge_counts(epochs.iter().map(|fb| &fb.total));
         prop_assert_eq!(&sum, ledger.total());
 
         // The end-of-run invariant holds over the summed deltas.
@@ -108,7 +97,7 @@ proptest! {
         for fb in &epochs {
             for (pc, d) in &fb.per_pc {
                 match per_pc.iter_mut().find(|(p, _)| p == pc) {
-                    Some((_, c)) => add(c, d),
+                    Some((_, c)) => c.add(d),
                     None => per_pc.push((*pc, *d)),
                 }
             }
@@ -122,19 +111,13 @@ proptest! {
 
         // Per-class deltas reconcile class by class.
         for (i, cls) in ledger.per_class().iter().enumerate() {
-            let mut s = LedgerCounts::default();
-            for fb in &epochs {
-                add(&mut s, &fb.per_class[i]);
-            }
+            let s = merge_counts(epochs.iter().map(|fb| &fb.per_class[i]));
             prop_assert_eq!(&s, cls);
         }
 
         // Per-hop deltas reconcile hop by hop and sum to the totals.
         for (h, cur) in ledger.per_hop().iter().enumerate() {
-            let mut s = LedgerCounts::default();
-            for fb in &epochs {
-                add(&mut s, &fb.per_hop[h]);
-            }
+            let s = merge_counts(epochs.iter().map(|fb| &fb.per_hop[h]));
             prop_assert_eq!(&s, cur);
         }
         prop_assert!(ledger.reconciles_per_hop());

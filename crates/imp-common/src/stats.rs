@@ -119,7 +119,10 @@ pub struct PrefetchStats {
     /// IPD detections abandoned (third index seen without a match).
     pub detect_failures: u64,
     /// Partial (sub-line) prefetches issued by IMP under partial
-    /// cacheline accessing.
+    /// cacheline accessing: requests that allocated an MSHR entry for
+    /// fewer sectors than the whole line. The prefetcher model's own
+    /// `PrefetcherStats::partial_prefetches` counts the sub-line
+    /// requests it emitted, before MSHR filtering.
     pub partial_prefetches: u64,
     /// Index-value reads deferred because the index line was in flight.
     pub value_unavailable: u64,

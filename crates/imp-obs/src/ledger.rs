@@ -32,12 +32,31 @@ pub struct LedgerCounts {
 }
 
 impl LedgerCounts {
-    fn add(&mut self, other: &LedgerCounts) {
+    /// Adds `other`'s counts into `self`.
+    pub fn add(&mut self, other: &LedgerCounts) {
         self.issued += other.issued;
         self.fills += other.fills;
         self.used += other.used;
         self.late += other.late;
         self.evicted_unused += other.evicted_unused;
+    }
+
+    /// The counts gained since `earlier`, a snapshot of the same
+    /// cumulative population.
+    pub fn sub(&self, earlier: &LedgerCounts) -> LedgerCounts {
+        LedgerCounts {
+            issued: self.issued - earlier.issued,
+            fills: self.fills - earlier.fills,
+            used: self.used - earlier.used,
+            late: self.late - earlier.late,
+            evicted_unused: self.evicted_unused - earlier.evicted_unused,
+        }
+    }
+
+    /// Every fill has exactly one fate:
+    /// `fills == used + late + evicted_unused`.
+    pub fn reconciles(&self) -> bool {
+        self.fills == self.used + self.late + self.evicted_unused
     }
 
     /// Fraction of fills that were used timely (`used / fills`).
@@ -60,6 +79,23 @@ impl LedgerCounts {
         }
     }
 }
+
+/// The one-prefetch deltas [`Ledger::bump`] applies.
+const NONE: LedgerCounts = LedgerCounts {
+    issued: 0,
+    fills: 0,
+    used: 0,
+    late: 0,
+    evicted_unused: 0,
+};
+const ISSUED: LedgerCounts = LedgerCounts { issued: 1, ..NONE };
+const FILLED: LedgerCounts = LedgerCounts { fills: 1, ..NONE };
+const FILLED_LATE: LedgerCounts = LedgerCounts { late: 1, ..FILLED };
+const USED: LedgerCounts = LedgerCounts { used: 1, ..NONE };
+const EVICTED_UNUSED: LedgerCounts = LedgerCounts {
+    evicted_unused: 1,
+    ..NONE
+};
 
 #[derive(Clone, Copy, Debug)]
 enum State {
@@ -120,11 +156,13 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    fn bump(&mut self, pc: Pc, class: AccessClass, hop: u8, f: impl Fn(&mut LedgerCounts)) {
-        f(&mut self.total);
-        f(self.per_pc.entry(pc).or_default());
-        f(&mut self.per_class[class.index()]);
-        f(&mut self.per_hop[(hop as usize).min(MAX_HOPS - 1)]);
+    /// Adds `delta` to entry `e`'s PC, class and hop buckets and to the
+    /// total.
+    fn bump(&mut self, e: &Entry, delta: LedgerCounts) {
+        self.total.add(&delta);
+        self.per_pc.entry(e.pc).or_default().add(&delta);
+        self.per_class[e.class.index()].add(&delta);
+        self.per_hop[(e.hop as usize).min(MAX_HOPS - 1)].add(&delta);
     }
 
     /// A prefetch MSHR entry was newly allocated at cycle `now`; `hop`
@@ -140,26 +178,22 @@ impl Ledger {
         hop: u8,
         now: Cycle,
     ) {
-        if let Some(old) = self.entries.insert(
-            (core, line),
-            Entry {
-                pc,
-                class,
-                hop,
-                issue: now,
-                state: State::InFlight { late: false },
-            },
-        ) {
+        let entry = Entry {
+            pc,
+            class,
+            hop,
+            issue: now,
+            state: State::InFlight { late: false },
+        };
+        if let Some(old) = self.entries.insert((core, line), entry) {
             // A re-issue over an unused resident (or doubly-issued)
             // prefetch: close the old one out so the invariant holds.
             match old.state {
-                State::Resident { .. } => {
-                    self.bump(old.pc, old.class, old.hop, |c| c.evicted_unused += 1);
-                }
+                State::Resident { .. } => self.bump(&old, EVICTED_UNUSED),
                 State::InFlight { .. } => self.inflight_at_end += 1,
             }
         }
-        self.bump(pc, class, hop, |c| c.issued += 1);
+        self.bump(&entry, ISSUED);
     }
 
     /// A demand access merged into this line's in-flight prefetch: the
@@ -177,18 +211,15 @@ impl Ledger {
         match self.entries.get_mut(&(core, line)) {
             Some(e) => match e.state {
                 State::InFlight { late } => {
-                    let (pc, class, hop, issue) = (e.pc, e.class, e.hop, e.issue);
+                    let entry = *e;
                     if late {
                         self.entries.remove(&(core, line));
-                        self.bump(pc, class, hop, |c| {
-                            c.fills += 1;
-                            c.late += 1;
-                        });
-                        FillOutcome::Late { issue }
+                        self.bump(&entry, FILLED_LATE);
+                        FillOutcome::Late { issue: entry.issue }
                     } else {
                         e.state = State::Resident { fill: now };
-                        self.bump(pc, class, hop, |c| c.fills += 1);
-                        FillOutcome::Arrived { issue }
+                        self.bump(&entry, FILLED);
+                        FillOutcome::Arrived { issue: entry.issue }
                     }
                 }
                 // A second fill of an already-resident entry (partial
@@ -214,7 +245,7 @@ impl Ledger {
             return None;
         };
         self.entries.remove(&(core, line));
-        self.bump(e.pc, e.class, e.hop, |c| c.used += 1);
+        self.bump(&e, USED);
         Some(now.saturating_sub(fill))
     }
 
@@ -229,7 +260,7 @@ impl Ledger {
             return false;
         };
         self.entries.remove(&(core, line));
-        self.bump(e.pc, e.class, e.hop, |c| c.evicted_unused += 1);
+        self.bump(&e, EVICTED_UNUSED);
         true
     }
 
@@ -245,9 +276,7 @@ impl Ledger {
         self.entries.clear();
         for e in remaining {
             match e.state {
-                State::Resident { .. } => {
-                    self.bump(e.pc, e.class, e.hop, |c| c.evicted_unused += 1);
-                }
+                State::Resident { .. } => self.bump(&e, EVICTED_UNUSED),
                 State::InFlight { .. } => self.inflight_at_end += 1,
             }
         }
@@ -293,19 +322,20 @@ impl Ledger {
     /// The acceptance invariant: after [`Ledger::finish`], every
     /// tracked fill has exactly one outcome.
     pub fn reconciles(&self) -> bool {
-        self.total.fills == self.total.used + self.total.late + self.total.evicted_unused
+        self.total.reconciles()
     }
 
     /// The per-hop form of the acceptance invariant: every hop bucket
     /// reconciles on its own (a hop never inherits another hop's
     /// outcome), and the buckets sum back to the total.
     pub fn reconciles_per_hop(&self) -> bool {
-        let sum = merge_counts(self.per_hop.iter());
-        self.per_hop
-            .iter()
-            .all(|c| c.fills == c.used + c.late + c.evicted_unused)
-            && sum == self.total
+        hops_reconcile(&self.per_hop, &self.total)
     }
+}
+
+/// Whether every hop bucket reconciles and the buckets sum to `total`.
+pub(crate) fn hops_reconcile(per_hop: &[LedgerCounts; MAX_HOPS], total: &LedgerCounts) -> bool {
+    per_hop.iter().all(LedgerCounts::reconciles) && merge_counts(per_hop.iter()) == *total
 }
 
 /// Folds a set of per-core or per-run ledgers into one summary count.

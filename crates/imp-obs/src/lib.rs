@@ -7,9 +7,12 @@
 //! * **log2-bucketed [`Histogram`]s** of demand-miss latency, page-walk
 //!   latency and prefetch-to-use distance — distribution shape, not
 //!   just sum/count;
-//! * **a prefetch-timeliness [`Ledger`]**: every tracked prefetch
-//!   follows issue → fill → exactly one of {used, late,
-//!   evicted-unused}, per PC and per [`imp_common::stats::AccessClass`];
+//! * **the prefetch-timeliness [`Ledger`]'s counts**: every tracked
+//!   prefetch follows issue → fill → exactly one of {used, late,
+//!   evicted-unused}, per PC and per [`imp_common::stats::AccessClass`].
+//!   The simulator owns the run's one ledger; the probe's prefetch
+//!   hooks receive what it decided, and the finished ledger is handed
+//!   over with [`Probe::close_ledger`];
 //! * **epoch samples** ([`EpochSample`]): per-N-cycle counter deltas
 //!   plus per-window latency histograms, the time-resolved view of
 //!   phase behavior (what an adaptive prefetcher manager keys on).
@@ -24,13 +27,19 @@
 //! ```
 //! use imp_common::stats::AccessClass;
 //! use imp_common::{LineAddr, Pc};
-//! use imp_obs::{ObsConfig, Probe};
+//! use imp_obs::{Ledger, ObsConfig, Probe};
 //!
 //! let probe = Probe::new(&ObsConfig::metrics().with_epoch(1000));
+//! let mut ledger = Ledger::default();
 //! let (core, line, pc) = (0, LineAddr::from_line_number(4), Pc::new(0x40));
-//! probe.prefetch_issue(core, line, pc, AccessClass::Indirect, 1, 100);
-//! probe.prefetch_fill(core, line, 250);
-//! probe.prefetch_first_use(core, line, 300);
+//! ledger.issue(core, line, pc, AccessClass::Indirect, 1, 100);
+//! probe.prefetch_issue(100);
+//! let outcome = ledger.fill(core, line, 250);
+//! probe.prefetch_fill(core, line, outcome, 250);
+//! let distance = ledger.first_use(core, line, 300).unwrap();
+//! probe.prefetch_first_use(core, line, distance, 300);
+//! ledger.finish();
+//! probe.close_ledger(&ledger);
 //! let report = probe.finish_into_report(5_000).unwrap();
 //! assert_eq!(report.ledger_total.used, 1);
 //! assert!(report.reconciles());
@@ -58,7 +67,7 @@ use std::rc::Rc;
 /// (no-op) probe.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Maintain histograms and the timeliness ledger.
+    /// Maintain histograms and report the timeliness ledger.
     pub metrics: bool,
     /// Record typed events into a ring of this capacity.
     pub trace_capacity: Option<usize>,
@@ -72,7 +81,7 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// Histograms + timeliness ledger, no trace, no epochs.
+    /// Histograms + timeliness ledger counts, no trace, no epochs.
     pub fn metrics() -> Self {
         ObsConfig {
             metrics: true,
@@ -110,16 +119,27 @@ impl ObsConfig {
     }
 }
 
-/// The recording state behind an enabled probe. Histograms and the
-/// ledger are always maintained while enabled (the trace's flight
-/// spans and the epochs' deltas are derived from them); the trace ring
-/// and epoch sampler follow the config.
+/// The finished ledger's counts, as [`Probe::close_ledger`] hands
+/// them over for the report.
+#[derive(Debug, Default)]
+struct ClosedLedger {
+    total: LedgerCounts,
+    per_pc: Vec<(Pc, LedgerCounts)>,
+    per_class: [LedgerCounts; AccessClass::ALL.len()],
+    per_hop: [LedgerCounts; MAX_HOPS],
+    untracked_fills: u64,
+    inflight_at_end: u64,
+}
+
+/// The recording state behind an enabled probe. Histograms are always
+/// maintained while enabled; the trace ring and epoch sampler follow
+/// the config.
 #[derive(Debug)]
 struct Recorder {
     demand_latency: Histogram,
     walk_latency: Histogram,
     use_distance: Histogram,
-    ledger: Ledger,
+    closed: ClosedLedger,
     trace: Option<Trace>,
     epochs: Option<EpochSampler>,
 }
@@ -130,7 +150,7 @@ impl Recorder {
             demand_latency: Histogram::new(),
             walk_latency: Histogram::new(),
             use_distance: Histogram::new(),
-            ledger: Ledger::default(),
+            closed: ClosedLedger::default(),
             trace: cfg.trace_capacity.map(Trace::new),
             epochs: cfg.epoch.map(EpochSampler::new),
         }
@@ -212,21 +232,12 @@ impl Probe {
         });
     }
 
-    /// A prefetch MSHR entry was newly allocated on `core` for `line`;
-    /// `hop` is the issuing pattern's chain hop (0 for sequential).
+    /// A prefetch MSHR entry was newly allocated at `now` (the ledger
+    /// tracks it from here).
     #[inline]
-    pub fn prefetch_issue(
-        &self,
-        core: u32,
-        line: LineAddr,
-        pc: Pc,
-        class: AccessClass,
-        hop: u8,
-        now: Cycle,
-    ) {
+    pub fn prefetch_issue(&self, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        r.ledger.issue(core, line, pc, class, hop, now);
         if let Some(e) = r.tick(now) {
             e.pf_issued += 1;
         }
@@ -238,7 +249,6 @@ impl Probe {
     pub fn prefetch_demand_merge(&self, core: u32, line: LineAddr, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        r.ledger.demand_merge(core, line);
         if let Some(e) = r.tick(now) {
             e.pf_late += 1;
         }
@@ -252,12 +262,13 @@ impl Probe {
         });
     }
 
-    /// A prefetch fill reached `core`'s L1 for `line`.
+    /// A prefetch fill reached `core`'s L1 for `line`; `outcome` is
+    /// what the ledger's [`Ledger::fill`] made of it (a tracked fill
+    /// records its flight span).
     #[inline]
-    pub fn prefetch_fill(&self, core: u32, line: LineAddr, now: Cycle) {
+    pub fn prefetch_fill(&self, core: u32, line: LineAddr, outcome: FillOutcome, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        let outcome = r.ledger.fill(core, line, now);
         if let Some(e) = r.tick(now) {
             e.pf_fills += 1;
         }
@@ -273,14 +284,13 @@ impl Probe {
         }
     }
 
-    /// First demand touch of a prefetched resident `line` on `core`.
+    /// First demand touch of a prefetched resident `line` on `core`
+    /// that closed a tracked ledger entry `distance` cycles after its
+    /// fill ([`Ledger::first_use`]).
     #[inline]
-    pub fn prefetch_first_use(&self, core: u32, line: LineAddr, now: Cycle) {
+    pub fn prefetch_first_use(&self, core: u32, line: LineAddr, distance: Cycle, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        let Some(distance) = r.ledger.first_use(core, line, now) else {
-            return;
-        };
         r.use_distance.record(distance);
         if let Some(e) = r.tick(now) {
             e.pf_used += 1;
@@ -296,14 +306,12 @@ impl Probe {
     }
 
     /// A prefetched `line` left `core`'s L1 without ever being
-    /// demand-touched.
+    /// demand-touched, closing a tracked ledger entry
+    /// ([`Ledger::evicted_unused`] returned true).
     #[inline]
     pub fn prefetch_evicted_unused(&self, core: u32, line: LineAddr, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        if !r.ledger.evicted_unused(core, line) {
-            return;
-        }
         if let Some(e) = r.tick(now) {
             e.pf_evicted_unused += 1;
         }
@@ -404,13 +412,29 @@ impl Probe {
         });
     }
 
+    /// Hands over the run's finished ledger (see [`Ledger::finish`]):
+    /// its counts become the report's `ledger_*`, `untracked_fills`
+    /// and `inflight_at_end` fields. The simulator calls this once at
+    /// the end of a run.
+    pub fn close_ledger(&self, ledger: &Ledger) {
+        let Some(r) = &self.0 else { return };
+        r.borrow_mut().closed = ClosedLedger {
+            total: *ledger.total(),
+            per_pc: ledger.per_pc(),
+            per_class: *ledger.per_class(),
+            per_hop: *ledger.per_hop(),
+            untracked_fills: ledger.untracked_fills(),
+            inflight_at_end: ledger.inflight_at_end(),
+        };
+    }
+
     /// Closes the run at `runtime` and extracts the report. Returns
     /// `None` for a disabled probe. Callable on any clone; the report
-    /// reflects everything every clone recorded.
+    /// reflects everything every clone recorded and the ledger last
+    /// handed to [`Probe::close_ledger`] (zero counts if none was).
     pub fn finish_into_report(&self, runtime: Cycle) -> Option<ObsReport> {
         let r = self.0.as_ref()?;
         let mut r = r.borrow_mut();
-        r.ledger.finish();
         if let Some(e) = r.epochs.as_mut() {
             e.finish(runtime);
         }
@@ -419,12 +443,12 @@ impl Probe {
             demand_latency: r.demand_latency.clone(),
             walk_latency: r.walk_latency.clone(),
             use_distance: r.use_distance.clone(),
-            ledger_total: *r.ledger.total(),
-            ledger_per_pc: r.ledger.per_pc(),
-            ledger_per_class: *r.ledger.per_class(),
-            ledger_per_hop: *r.ledger.per_hop(),
-            untracked_fills: r.ledger.untracked_fills(),
-            inflight_at_end: r.ledger.inflight_at_end(),
+            ledger_total: r.closed.total,
+            ledger_per_pc: r.closed.per_pc.clone(),
+            ledger_per_class: r.closed.per_class,
+            ledger_per_hop: r.closed.per_hop,
+            untracked_fills: r.closed.untracked_fills,
+            inflight_at_end: r.closed.inflight_at_end,
             epochs: r
                 .epochs
                 .as_ref()
@@ -498,17 +522,13 @@ impl ObsReport {
     /// The acceptance invariant: every tracked fill has exactly one
     /// outcome — `fills == used + late + evicted_unused`.
     pub fn reconciles(&self) -> bool {
-        let t = &self.ledger_total;
-        t.fills == t.used + t.late + t.evicted_unused
+        self.ledger_total.reconciles()
     }
 
     /// The per-hop form of the invariant: each hop bucket reconciles on
     /// its own and the buckets sum back to the total.
     pub fn reconciles_per_hop(&self) -> bool {
-        self.ledger_per_hop
-            .iter()
-            .all(|c| c.fills == c.used + c.late + c.evicted_unused)
-            && merge_counts(self.ledger_per_hop.iter()) == self.ledger_total
+        ledger::hops_reconcile(&self.ledger_per_hop, &self.ledger_total)
     }
 
     /// The small, thread-portable summary sweeps attach per cell.
@@ -559,7 +579,9 @@ mod tests {
         let p = Probe::disabled();
         assert!(!p.is_enabled());
         p.demand_complete(0, Pc::new(1), line(1), 0, 100);
-        p.prefetch_issue(0, line(1), Pc::new(1), AccessClass::Stream, 0, 0);
+        p.prefetch_issue(0);
+        p.prefetch_fill(0, line(1), FillOutcome::Arrived { issue: 0 }, 10);
+        p.close_ledger(&Ledger::default());
         assert!(p.finish_into_report(1000).is_none());
         assert!(!Probe::new(&ObsConfig::off()).is_enabled());
         assert!(!CoreProbe::disabled().is_enabled());
@@ -580,12 +602,31 @@ mod tests {
     fn full_config_records_all_layers() {
         let p = Probe::new(&ObsConfig::full(64, 100));
         let pc = Pc::new(0x40);
-        p.prefetch_issue(0, line(1), pc, AccessClass::Indirect, 1, 10);
-        p.prefetch_fill(0, line(1), 120);
-        p.prefetch_first_use(0, line(1), 150);
-        p.prefetch_issue(0, line(2), pc, AccessClass::Indirect, 2, 20);
+        // The ledger decides each fate; the probe records the outcome.
+        let mut l = Ledger::default();
+        l.issue(0, line(1), pc, AccessClass::Indirect, 1, 10);
+        p.prefetch_issue(10);
+        l.issue(0, line(2), pc, AccessClass::Indirect, 2, 20);
+        p.prefetch_issue(20);
+        l.demand_merge(0, line(2));
         p.prefetch_demand_merge(0, line(2), 60);
-        p.prefetch_fill(0, line(2), 130);
+        let arrived = l.fill(0, line(1), 120);
+        assert_eq!(arrived, FillOutcome::Arrived { issue: 10 });
+        p.prefetch_fill(0, line(1), arrived, 120);
+        let late = l.fill(0, line(2), 130);
+        assert_eq!(late, FillOutcome::Late { issue: 20 });
+        p.prefetch_fill(0, line(2), late, 130);
+        let distance = l.first_use(0, line(1), 150).unwrap();
+        p.prefetch_first_use(0, line(1), distance, 150);
+        // An untouched prefetch evicted before the run ends.
+        l.issue(0, line(3), pc, AccessClass::Stream, 0, 160);
+        p.prefetch_issue(160);
+        let arrived = l.fill(0, line(3), 170);
+        p.prefetch_fill(0, line(3), arrived, 170);
+        assert!(l.evicted_unused(0, line(3)));
+        p.prefetch_evicted_unused(0, line(3), 180);
+        l.finish();
+        p.close_ledger(&l);
         p.translation(0, 0x1234, 200, 40, 4);
         p.translation(0, 0x5678, 300, 8, 0); // L2 hit: not a walk
         p.translation(0, 0x9abc, 310, 0, 0); // dTLB hit: unrecorded
@@ -595,23 +636,45 @@ mod tests {
         let report = p.finish_into_report(500).unwrap();
         assert!(report.reconciles());
         assert!(report.reconciles_per_hop());
-        assert_eq!(report.ledger_total.fills, 2);
-        assert_eq!((report.ledger_total.used, report.ledger_total.late), (1, 1));
+        let t = report.ledger_total;
+        assert_eq!((t.issued, t.fills), (3, 3));
+        assert_eq!((t.used, t.late, t.evicted_unused), (1, 1, 1));
+        assert_eq!(report.ledger_per_hop[0].evicted_unused, 1);
         assert_eq!(report.ledger_per_hop[1].used, 1);
         assert_eq!(report.ledger_per_hop[2].late, 1);
+        assert_eq!(report.ledger_per_pc, vec![(pc, t)]);
         assert_eq!(report.walk_latency.count(), 1);
         assert_eq!(report.use_distance.count(), 1);
         assert_eq!(report.use_distance.sum(), 30);
         assert_eq!(report.epochs.len(), 5);
-        let total_fills: u64 = report.epochs.iter().map(|e| e.counters.pf_fills).sum();
-        assert_eq!(total_fills, 2);
+        let sum = |f: fn(&EpochCounters) -> u64| -> u64 {
+            report.epochs.iter().map(|e| f(&e.counters)).sum()
+        };
+        assert_eq!(sum(|c| c.pf_issued), 3);
+        assert_eq!(sum(|c| c.pf_fills), 3);
+        assert_eq!(sum(|c| c.pf_used), 1);
+        assert_eq!(sum(|c| c.pf_late), 1);
+        assert_eq!(sum(|c| c.pf_evicted_unused), 1);
         let trace = report.trace.as_ref().unwrap();
-        assert!(trace.iter().any(|e| e.kind == EventKind::L2TlbHit));
-        assert!(trace.iter().any(|e| e.kind == EventKind::DirInvalidate));
+        for kind in [
+            EventKind::PrefetchFlight,
+            EventKind::PrefetchLate,
+            EventKind::PrefetchFirstUse,
+            EventKind::PrefetchEvictedUnused,
+            EventKind::L2TlbHit,
+            EventKind::DirInvalidate,
+        ] {
+            assert!(trace.iter().any(|e| e.kind == kind), "no {kind:?} event");
+        }
+        let first_use = trace
+            .iter()
+            .find(|e| e.kind == EventKind::PrefetchFirstUse)
+            .unwrap();
+        assert_eq!(first_use.aux, 30, "the first use carries its distance");
         let json = trace.to_chrome_json();
         assert!(json.contains("prefetch_first_use"));
         let s = report.summary();
-        assert_eq!(s.ledger.fills, 2);
+        assert_eq!(s.ledger.fills, 3);
         assert_eq!(s.per_hop[1].accuracy(), 1.0);
         assert_eq!(s.per_hop[2].accuracy(), 0.0, "hop 2's only fill was late");
         assert_eq!(s.epochs, 5);

@@ -192,7 +192,9 @@ pub struct PrefetcherStats {
     pub ways_detected: u64,
     /// Secondary (multi-level) patterns detected.
     pub levels_detected: u64,
-    /// Prefetches issued with a sub-line sector mask.
+    /// Prefetches emitted with a sub-line sector mask. The simulator's
+    /// [`PrefetchStats::partial_prefetches`](imp_common::stats::PrefetchStats::partial_prefetches)
+    /// counts only those that allocated an MSHR entry.
     pub partial_prefetches: u64,
     /// Index-value reads that failed because the index line was not yet
     /// cache-resident (the prefetch was deferred).

@@ -40,7 +40,7 @@ mod tests {
     use super::*;
     use imp_common::config::{MemMode, PartialMode, PrefetcherKind};
     use imp_common::stats::AccessClass;
-    use imp_common::{Pc, SystemConfig};
+    use imp_common::{Addr, Pc, SystemConfig};
     use imp_mem::{AddressSpace, FunctionalMemory};
     use imp_trace::{Op, Program};
 
@@ -463,6 +463,96 @@ mod tests {
         assert!(!trace.is_empty());
         let json = trace.to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    /// Prefetches one fixed line in Modified state on its first access
+    /// and records the `evicted_unused` count of every epoch's feedback.
+    struct ExclusiveOnce {
+        target: Addr,
+        fired: bool,
+        evicted_unused: std::sync::Arc<std::sync::atomic::AtomicU64>,
+        stats: imp_prefetch::PrefetcherStats,
+    }
+
+    impl imp_prefetch::L1Prefetcher for ExclusiveOnce {
+        fn on_access_ctx(&mut self, _: imp_prefetch::Access, ctx: &mut imp_prefetch::PrefetchCtx) {
+            if !std::mem::replace(&mut self.fired, true) {
+                ctx.emit(imp_prefetch::PrefetchRequest {
+                    pc: Pc::new(1),
+                    addr: self.target,
+                    sectors: imp_common::SectorMask::FULL_L1,
+                    exclusive: true,
+                    kind: imp_prefetch::PrefetchKind::Sequential,
+                });
+            }
+        }
+
+        fn on_feedback(&mut self, fb: &imp_prefetch::Feedback) -> imp_prefetch::Control {
+            self.evicted_unused.fetch_add(
+                fb.total.evicted_unused,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            imp_prefetch::Control::none()
+        }
+
+        fn stats(&self) -> &imp_prefetch::PrefetcherStats {
+            &self.stats
+        }
+    }
+
+    /// A prefetched line that a remote store fetch-invalidates before
+    /// any demand touch is an evicted-unused fate, and the manager's
+    /// feedback must count it like the statistics do.
+    #[test]
+    fn fetch_invalidated_prefetch_reaches_the_manager_feedback() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let target = Addr::new(0x10_0000);
+        let seen = Arc::new(AtomicU64::new(0));
+        let captured = seen.clone();
+        imp_prefetch::registry::register_fn("test-exclusive-once", move |_, ctx| {
+            Ok(Box::new(ExclusiveOnce {
+                target,
+                // Only core 0 prefetches; only its feedback is counted.
+                fired: ctx.core != 0,
+                evicted_unused: if ctx.core == 0 {
+                    captured.clone()
+                } else {
+                    Arc::default()
+                },
+                stats: Default::default(),
+            }))
+        })
+        .unwrap();
+        // Core 0 takes the target line Modified through its prefetch and
+        // never touches it; core 1 later stores to it, so the home tile
+        // fetch-invalidates core 0's copy. Cores 2 and 3 only compute.
+        let mut p = Program::new("fetch-invalidate", 4);
+        p.core_mut(0).push(Op::load(
+            Addr::new(0x20_0000),
+            8,
+            Pc::new(1),
+            AccessClass::Stream,
+        ));
+        p.core_mut(0).push(Op::compute(20_000));
+        p.core_mut(1).push(Op::compute(5_000));
+        p.core_mut(1)
+            .push(Op::store(target, 8, Pc::new(2), AccessClass::Other));
+        p.core_mut(1).push(Op::compute(15_000));
+        for c in 2..4 {
+            p.core_mut(c).push(Op::compute(20_000));
+        }
+        let cfg = SystemConfig::paper_default(4)
+            .with_prefetcher("test-exclusive-once")
+            .with_manager("static:epoch=1000");
+        let stats = run(cfg, p, FunctionalMemory::new());
+        assert_eq!(stats.prefetch[0].issued_stream, 1);
+        assert_eq!(stats.prefetch[0].unused, 1, "the line left untouched");
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            1,
+            "the feedback missed the fetch-invalidated prefetch"
+        );
     }
 
     #[test]

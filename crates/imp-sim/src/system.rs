@@ -28,7 +28,7 @@ use imp_obs::{CoreProbe, Ledger, Probe};
 use imp_prefetch::registry::{self, BuildCtx, RegistryError};
 use imp_prefetch::{
     class_of, Access, Control, IndexValueSource, L1Prefetcher, NullPrefetcher, PrefetchCtx,
-    PrefetchKind, PrefetchRequest, PrefetcherStats,
+    PrefetchRequest, PrefetcherStats,
 };
 use imp_trace::{BarrierMismatch, OpKind, Program};
 use imp_vm::{PagePlacement, PrefetchTranslation, Vm, VmConfigError, WalkMemory, PTE_BYTES};
@@ -143,14 +143,12 @@ impl From<ManagerError> for BuildError {
 }
 
 /// The adaptive control plane's run state: a [`Manager`] (epoch length
-/// and policy), its private timeliness [`Ledger`] (fed from the same
-/// sites as the observability probe, unconditionally — management must
-/// work without a probe attached), the [`EpochTracker`] that turns the
-/// cumulative ledger into per-epoch deltas, and the [`Control`]
-/// currently in force.
+/// and policy), the [`EpochTracker`] that turns the run's cumulative
+/// timeliness ledger ([`Fabric`]'s, which a managed run always holds,
+/// probe or not) into per-epoch deltas, and the [`Control`] currently
+/// in force.
 struct ManagerState {
     mgr: Manager,
-    ledger: Ledger,
     tracker: EpochTracker,
     /// Cycle at which the next epoch closes.
     next_epoch: Cycle,
@@ -253,9 +251,10 @@ struct Fabric {
     mem: FunctionalMemory,
     traffic: TrafficStats,
     completions: Vec<(u32, u64, Cycle)>,
-    /// Observability hook (disabled by default — every record call is a
-    /// branch on a `None` and changes no timing either way; see
-    /// [`System::attach_probe`]).
+    /// Observability hook (disabled by default; see
+    /// [`System::attach_probe`]). Records only, so it changes no timing.
+    /// Its prefetch hooks are called only with an outcome of `ledger`,
+    /// and the finished ledger is handed to it at the end of the run.
     probe: Probe,
     /// Per-core views of `probe` handed to prefetchers through
     /// [`PrefetchCtx`] (pre-built so the hot path never clones).
@@ -263,6 +262,11 @@ struct Fabric {
     /// Adaptive manager state; `None` — the default — leaves every
     /// path below bit-identical to an unmanaged build.
     mgr: Option<ManagerState>,
+    /// The run's one prefetch-timeliness ledger, read by both the
+    /// manager and the probe. `Some` when a manager is configured or an
+    /// enabled probe is attached, `None` otherwise, so an unobserved
+    /// unmanaged run pays one branch per prefetch fate.
+    ledger: Option<Ledger>,
     /// Model-side prefetcher statistics carried over from prefetchers
     /// replaced by a manager-requested switch (zero until a switch
     /// happens); [`System::collect_stats`] adds them to the live
@@ -350,7 +354,7 @@ impl Fabric {
             let flit_hops = self.mesh.flit_hops();
             let dram_bytes = self.traffic.dram_read_bytes + self.traffic.dram_write_bytes;
             let fb = m.tracker.feedback(
-                &m.ledger,
+                self.ledger.as_ref().expect("a managed run holds a ledger"),
                 end,
                 m.demand_misses,
                 drops,
@@ -503,6 +507,74 @@ impl Fabric {
     }
 
     // ------------------------------------------------------------------
+    // Prefetch fates: one call per event. Each bumps core `c`'s
+    // PrefetchStats, updates the run's ledger if there is one, and
+    // forwards the ledger's outcome to the probe (which is enabled only
+    // when the ledger exists). Software prefetches have no fate here.
+    // ------------------------------------------------------------------
+
+    /// A prefetch newly allocated an MSHR entry (`partial`: for fewer
+    /// sectors than the whole line).
+    fn fate_issue(&mut self, c: usize, req: &PrefetchRequest, partial: bool, now: Cycle) {
+        let class = class_of(req.kind);
+        let s = &mut self.pstats[c];
+        if class == AccessClass::Stream {
+            s.issued_stream += 1;
+        } else {
+            s.issued_indirect += 1;
+        }
+        s.partial_prefetches += u64::from(partial);
+        if let Some(l) = self.ledger.as_mut() {
+            l.issue(c as u32, req.line(), req.pc, class, req.kind.hop(), now);
+            self.probe.prefetch_issue(now);
+        }
+    }
+
+    /// A demand miss merged into `line`'s in-flight prefetch: it is late.
+    fn fate_late(&mut self, c: usize, line: LineAddr, now: Cycle) {
+        self.pstats[c].late += 1;
+        if let Some(l) = self.ledger.as_mut() {
+            l.demand_merge(c as u32, line);
+            self.probe.prefetch_demand_merge(c as u32, line, now);
+        }
+    }
+
+    /// A prefetch's data reached the L1.
+    fn fate_fill(&mut self, c: usize, line: LineAddr, now: Cycle) {
+        if let Some(l) = self.ledger.as_mut() {
+            let outcome = l.fill(c as u32, line, now);
+            self.probe.prefetch_fill(c as u32, line, outcome, now);
+        }
+    }
+
+    /// The first demand touch of a prefetched resident line.
+    fn fate_first_use(&mut self, c: usize, line: LineAddr, now: Cycle) {
+        self.pstats[c].covered += 1;
+        if let Some(l) = self.ledger.as_mut() {
+            if let Some(distance) = l.first_use(c as u32, line, now) {
+                self.probe.prefetch_first_use(c as u32, line, distance, now);
+            }
+        }
+    }
+
+    /// A line left the L1 (eviction, invalidation or fetch-invalidation):
+    /// a prefetched one ends useful or unused, and the prefetcher hears
+    /// of every departure.
+    fn fate_left_l1(&mut self, c: usize, ev: &Evicted, now: Cycle) {
+        if ev.prefetched_untouched {
+            self.pstats[c].unused += 1;
+            if let Some(l) = self.ledger.as_mut() {
+                if l.evicted_unused(c as u32, ev.line) {
+                    self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
+                }
+            }
+        } else if ev.prefetched_touched {
+            self.pstats[c].useful += 1;
+        }
+        self.pref[c].on_eviction(ev.line);
+    }
+
+    // ------------------------------------------------------------------
     // L1 / core side
     // ------------------------------------------------------------------
 
@@ -590,69 +662,42 @@ impl Fabric {
         match self.mshr[c].alloc(line, sectors, true, Waiter::Prefetch { req }) {
             MshrAlloc::Full => self.pstats[c].mshr_drops += 1,
             MshrAlloc::Merged => {}
-            MshrAlloc::MergedNeedsMore(extra) => {
-                let kind = if req.exclusive {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: extra,
-                        exclusive: req.exclusive,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
-            }
+            MshrAlloc::MergedNeedsMore(extra) => self.request(c, line, extra, req.exclusive, now),
             MshrAlloc::New => {
-                let class = match req.kind {
-                    PrefetchKind::Sequential => {
-                        self.pstats[c].issued_stream += 1;
-                        AccessClass::Stream
-                    }
-                    PrefetchKind::Indirect { .. } => {
-                        self.pstats[c].issued_indirect += 1;
-                        AccessClass::Indirect
-                    }
-                    PrefetchKind::TranslationOnly { .. } => {
-                        unreachable!("translation-only requests are routed before allocation")
-                    }
-                };
-                let hop = req.kind.hop();
-                self.probe
-                    .prefetch_issue(c as u32, line, req.pc, class, hop, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.issue(c as u32, line, req.pc, class, hop, now);
-                }
-                if sectors != self.l1[c].full_mask() {
-                    self.pstats[c].partial_prefetches += 1;
-                }
-                let kind = if req.exclusive {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors,
-                        exclusive: req.exclusive,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
+                self.fate_issue(c, &req, sectors != self.l1[c].full_mask(), now);
+                self.request(c, line, sectors, req.exclusive, now);
             }
         }
+    }
+
+    /// Sends core `c`'s request for `sectors` of `line` to its home
+    /// tile: a GetX when `exclusive`, a GetS otherwise.
+    fn request(
+        &mut self,
+        c: usize,
+        line: LineAddr,
+        sectors: SectorMask,
+        exclusive: bool,
+        now: Cycle,
+    ) {
+        let kind = if exclusive {
+            MsgKind::GetX
+        } else {
+            MsgKind::GetS
+        };
+        self.send(
+            Msg {
+                kind,
+                line,
+                src: c as u32,
+                dst: self.home_of(line),
+                requester: c as u32,
+                sectors,
+                exclusive,
+                payload_bytes: 0,
+            },
+            now,
+        );
     }
 
     fn demand_miss(
@@ -670,14 +715,8 @@ impl Fabric {
             m.demand_misses += 1;
         }
         // A merge into a pure-prefetch entry is a late prefetch.
-        if let Some(e) = self.mshr[c].get(line) {
-            if e.prefetch_only {
-                self.pstats[c].late += 1;
-                self.probe.prefetch_demand_merge(c as u32, line, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.demand_merge(c as u32, line);
-                }
-            }
+        if self.mshr[c].get(line).is_some_and(|e| e.prefetch_only) {
+            self.fate_late(c, line, now);
         }
         let waiter = if is_write {
             Waiter::Store { touch }
@@ -690,48 +729,10 @@ impl Fabric {
         };
         match self.mshr[c].alloc(line, fetch, false, waiter) {
             MshrAlloc::Merged => {}
-            MshrAlloc::MergedNeedsMore(extra) => {
-                let kind = if is_write {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: extra,
-                        exclusive: is_write,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
-            }
-            MshrAlloc::New | MshrAlloc::Full => {
-                // Demand misses are never structurally refused: the MSHR
-                // file is sized for prefetches; a demand always proceeds.
-                let kind = if is_write {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: fetch,
-                        exclusive: is_write,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
-            }
+            MshrAlloc::MergedNeedsMore(extra) => self.request(c, line, extra, is_write, now),
+            // Demand misses are never structurally refused: the MSHR
+            // file is sized for prefetches; a demand always proceeds.
+            MshrAlloc::New | MshrAlloc::Full => self.request(c, line, fetch, is_write, now),
         }
         if is_write {
             // Stores retire through the store buffer (1-cycle occupancy);
@@ -767,11 +768,7 @@ impl Fabric {
                 first_touch_of_prefetch,
             } => {
                 if first_touch_of_prefetch {
-                    self.pstats[c].covered += 1;
-                    self.probe.prefetch_first_use(c as u32, line, now);
-                    if let Some(m) = self.mgr.as_mut() {
-                        m.ledger.first_use(c as u32, line, now);
-                    }
+                    self.fate_first_use(c, line, now);
                 }
                 self.pref[c].on_demand_touch(line, touch);
                 let needs_upgrade = is_write
@@ -830,10 +827,7 @@ impl Fabric {
                     self.pref[c].on_demand_touch(msg.line, touch);
                 }
                 Waiter::Prefetch { req } => {
-                    self.probe.prefetch_fill(c as u32, msg.line, now);
-                    if let Some(m) = self.mgr.as_mut() {
-                        m.ledger.fill(c as u32, msg.line, now);
-                    }
+                    self.fate_fill(c, msg.line, now);
                     let mut src = L1Values {
                         l1: &self.l1[c],
                         mem: &self.mem,
@@ -871,16 +865,7 @@ impl Fabric {
     }
 
     fn l1_evicted(&mut self, c: usize, ev: Evicted, now: Cycle) {
-        if ev.prefetched_untouched {
-            self.pstats[c].unused += 1;
-            self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
-            if let Some(m) = self.mgr.as_mut() {
-                m.ledger.evicted_unused(c as u32, ev.line);
-            }
-        } else if ev.prefetched_touched {
-            self.pstats[c].useful += 1;
-        }
-        self.pref[c].on_eviction(ev.line);
+        self.fate_left_l1(c, &ev, now);
         if !ev.dirty.is_empty() {
             let payload = self.l1_mask_bytes(c, ev.dirty);
             self.send(
@@ -901,62 +886,37 @@ impl Fabric {
 
     fn l1_inv(&mut self, msg: Msg, now: Cycle) {
         let c = msg.dst as usize;
-        if let Some(ev) = self.l1[c].invalidate(msg.line) {
-            if ev.prefetched_untouched {
-                self.pstats[c].unused += 1;
-                self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.evicted_unused(c as u32, ev.line);
-                }
-            } else if ev.prefetched_touched {
-                self.pstats[c].useful += 1;
+        // Dirty data rides back with the ack conceptually; account its
+        // bytes on the ack message.
+        let dirty = match self.l1[c].invalidate(msg.line) {
+            Some(ev) => {
+                self.fate_left_l1(c, &ev, now);
+                ev.dirty
             }
-            self.pref[c].on_eviction(ev.line);
-            // Dirty data rides back with the ack conceptually; account
-            // its bytes on the ack message.
-            let payload = self.l1_mask_bytes(c, ev.dirty);
-            self.send(
-                Msg {
-                    kind: MsgKind::InvAck,
-                    line: msg.line,
-                    src: c as u32,
-                    dst: msg.src,
-                    requester: msg.requester,
-                    sectors: ev.dirty,
-                    exclusive: false,
-                    payload_bytes: payload,
-                },
-                now,
-            );
-        } else {
-            self.send(
-                Msg {
-                    kind: MsgKind::InvAck,
-                    line: msg.line,
-                    src: c as u32,
-                    dst: msg.src,
-                    requester: msg.requester,
-                    sectors: SectorMask::EMPTY,
-                    exclusive: false,
-                    payload_bytes: 0,
-                },
-                now,
-            );
-        }
+            None => SectorMask::EMPTY,
+        };
+        let payload = self.l1_mask_bytes(c, dirty);
+        self.send(
+            Msg {
+                kind: MsgKind::InvAck,
+                line: msg.line,
+                src: c as u32,
+                dst: msg.src,
+                requester: msg.requester,
+                sectors: dirty,
+                exclusive: false,
+                payload_bytes: payload,
+            },
+            now,
+        );
     }
 
     fn l1_fetch(&mut self, msg: Msg, now: Cycle, invalidate: bool) {
         let c = msg.dst as usize;
         let present = if invalidate {
             let ev = self.l1[c].invalidate(msg.line);
-            if let Some(ref e) = ev {
-                if e.prefetched_untouched {
-                    self.pstats[c].unused += 1;
-                    self.probe.prefetch_evicted_unused(c as u32, msg.line, now);
-                } else if e.prefetched_touched {
-                    self.pstats[c].useful += 1;
-                }
-                self.pref[c].on_eviction(msg.line);
+            if let Some(ev) = &ev {
+                self.fate_left_l1(c, ev, now);
             }
             ev.is_some()
         } else {
@@ -1415,19 +1375,7 @@ impl MemPort for Fabric {
                     if let MshrAlloc::New =
                         self.mshr[c].alloc(line, SectorMask::FULL_L1, true, Waiter::PerfPref { id })
                     {
-                        self.send(
-                            Msg {
-                                kind: MsgKind::GetS,
-                                line,
-                                src: core,
-                                dst: self.home_of(line),
-                                requester: core,
-                                sectors: SectorMask::FULL_L1,
-                                exclusive: false,
-                                payload_bytes: 0,
-                            },
-                            now,
-                        );
+                        self.request(c, line, SectorMask::FULL_L1, false, now);
                     }
                 }
                 // Throttle: never run more than `lead` cycles past the
@@ -1474,19 +1422,7 @@ impl MemPort for Fabric {
             self.mshr[c].alloc(line, SectorMask::FULL_L1, true, Waiter::SwPrefetch)
         {
             self.pstats[c].issued_stream += 1;
-            self.send(
-                Msg {
-                    kind: MsgKind::GetS,
-                    line,
-                    src: core,
-                    dst: self.home_of(line),
-                    requester: core,
-                    sectors: SectorMask::FULL_L1,
-                    exclusive: false,
-                    payload_bytes: 0,
-                },
-                now,
-            );
+            self.request(c, line, SectorMask::FULL_L1, false, now);
         }
     }
 }
@@ -1642,7 +1578,6 @@ impl System {
                     Some(ManagerState {
                         next_epoch: m.epoch_len(),
                         mgr: m,
-                        ledger: Ledger::default(),
                         tracker: EpochTracker::new(),
                         control: Control::none(),
                         demand_misses: 0,
@@ -1703,6 +1638,7 @@ impl System {
             completions: Vec::new(),
             probe: Probe::disabled(),
             cprobes: vec![CoreProbe::disabled(); n],
+            ledger: mgr.is_some().then(Ledger::default),
             mgr,
             carried_pref: vec![PrefetcherStats::default(); n],
             req_bufs: Vec::new(),
@@ -1744,6 +1680,9 @@ impl System {
         self.fab.cprobes = (0..self.cores.len())
             .map(|c| probe.for_core(c as u32))
             .collect();
+        if probe.is_enabled() {
+            self.fab.ledger.get_or_insert_with(Ledger::default);
+        }
         self.fab.probe = probe;
     }
 
@@ -1898,20 +1837,41 @@ impl System {
                 }
             }
         }
+        // The ledger's own closing sweep; the probe reports its counts.
+        if let Some(l) = self.fab.ledger.as_mut() {
+            l.finish();
+            self.fab.probe.close_ledger(l);
+        }
         // Merge detection counters from the prefetcher models, plus
         // anything carried over from models replaced by a manager
         // switch (zero in unmanaged runs). Assignment, not +=, keeps
-        // this idempotent across repeated collections.
+        // this idempotent across repeated collections. The destructure
+        // has no `..`, so a new model counter fails to compile until it
+        // is mapped here; `_` marks counters the fabric counts itself,
+        // after MSHR filtering, or does not report.
         for (c, p) in self.fab.pref.iter().enumerate() {
             let mut s = self.fab.carried_pref[c].clone();
             s.merge(p.stats());
+            let PrefetcherStats {
+                stream_prefetches: _,
+                indirect_prefetches,
+                patterns_detected,
+                detect_failures,
+                ways_detected: _,
+                levels_detected: _,
+                partial_prefetches: _,
+                value_unavailable,
+                deferred_drops,
+                deferred_retries,
+                translation_ahead: _,
+            } = s;
             let out = &mut self.fab.pstats[c];
-            out.patterns_detected = s.patterns_detected;
-            out.detect_failures = s.detect_failures;
-            out.value_unavailable = s.value_unavailable;
-            out.generated_indirect = s.indirect_prefetches;
-            out.deferred_drops = s.deferred_drops;
-            out.deferred_retries = s.deferred_retries;
+            out.patterns_detected = patterns_detected;
+            out.detect_failures = detect_failures;
+            out.value_unavailable = value_unavailable;
+            out.generated_indirect = indirect_prefetches;
+            out.deferred_drops = deferred_drops;
+            out.deferred_retries = deferred_retries;
         }
         let cores: Vec<CoreStats> = self.cores.iter().map(|c| c.stats().clone()).collect();
         let runtime = cores.iter().map(|c| c.done_cycle).max().unwrap_or(0);

@@ -39,14 +39,14 @@
 //!   `observability_tour` example). Observation never changes timing:
 //!   a probed run is bit-identical to a bare one.
 //! * [`adapt`] — the adaptive-management control plane: a per-epoch
-//!   feedback loop that distills the observability ledger into
-//!   [`adapt::Manager`] policy decisions — throttle an inaccurate
-//!   prefetcher, mask its cold PCs, or switch models entirely (the
-//!   offline-trained decision tree demotes IMP to a stream prefetcher
-//!   under TLB pressure). Prefetchers participate through
-//!   `L1Prefetcher::on_feedback`; drive it with `Sim::manager` or the
-//!   `Sweep::managers` axis (`"static"`, `"throttle"`, `"tree"`), and
-//!   see the `adaptive_manager` example.
+//!   feedback loop that distills the run's timeliness ledger (the one
+//!   the probe reports) into [`adapt::Manager`] policy decisions —
+//!   throttle an inaccurate prefetcher, mask its cold PCs, or switch
+//!   models entirely (the offline-trained decision tree demotes IMP to
+//!   a stream prefetcher under TLB pressure). Prefetchers participate
+//!   through `L1Prefetcher::on_feedback`; drive it with `Sim::manager`
+//!   or the `Sweep::managers` axis (`"static"`, `"throttle"`,
+//!   `"tree"`), and see the `adaptive_manager` example.
 //! * [`store`] — the content-addressed result store: every sweep cell
 //!   is digested over its full canonical input and persisted as a
 //!   checksummed `.impres` record, so re-running a sweep simulates only
