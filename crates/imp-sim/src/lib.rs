@@ -40,9 +40,16 @@ mod tests {
     use super::*;
     use imp_common::config::{MemMode, PartialMode, PrefetcherKind};
     use imp_common::stats::AccessClass;
-    use imp_common::{Addr, Pc, SystemConfig};
+    use imp_common::{Addr, Pc, SectorMask, SystemConfig};
     use imp_mem::{AddressSpace, FunctionalMemory};
+    use imp_prefetch::registry;
+    use imp_prefetch::{
+        Access, Control, Feedback, L1Prefetcher, PrefetchCtx, PrefetchKind, PrefetchRequest,
+        PrefetcherStats,
+    };
     use imp_trace::{Op, Program};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// Builds a 16-core program where every core streams over a private
     /// index array and performs `A[B[i]]` indirect loads.
@@ -466,36 +473,34 @@ mod tests {
     }
 
     /// Prefetches one fixed line in Modified state on its first access
-    /// and records the `evicted_unused` count of every epoch's feedback.
+    /// and adds up the `evicted_unused` counts of the epoch feedback it
+    /// receives.
     struct ExclusiveOnce {
-        target: Addr,
-        fired: bool,
-        evicted_unused: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        stats: imp_prefetch::PrefetcherStats,
+        target: Option<Addr>,
+        evicted_unused: Arc<AtomicU64>,
+        stats: PrefetcherStats,
     }
 
-    impl imp_prefetch::L1Prefetcher for ExclusiveOnce {
-        fn on_access_ctx(&mut self, _: imp_prefetch::Access, ctx: &mut imp_prefetch::PrefetchCtx) {
-            if !std::mem::replace(&mut self.fired, true) {
-                ctx.emit(imp_prefetch::PrefetchRequest {
+    impl L1Prefetcher for ExclusiveOnce {
+        fn on_access_ctx(&mut self, _: Access, ctx: &mut PrefetchCtx) {
+            if let Some(addr) = self.target.take() {
+                ctx.emit(PrefetchRequest {
                     pc: Pc::new(1),
-                    addr: self.target,
-                    sectors: imp_common::SectorMask::FULL_L1,
+                    addr,
+                    sectors: SectorMask::FULL_L1,
                     exclusive: true,
-                    kind: imp_prefetch::PrefetchKind::Sequential,
+                    kind: PrefetchKind::Sequential,
                 });
             }
         }
 
-        fn on_feedback(&mut self, fb: &imp_prefetch::Feedback) -> imp_prefetch::Control {
-            self.evicted_unused.fetch_add(
-                fb.total.evicted_unused,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            imp_prefetch::Control::none()
+        fn on_feedback(&mut self, fb: &Feedback) -> Control {
+            let n = fb.total.evicted_unused;
+            self.evicted_unused.fetch_add(n, Ordering::Relaxed);
+            Control::none()
         }
 
-        fn stats(&self) -> &imp_prefetch::PrefetcherStats {
+        fn stats(&self) -> &PrefetcherStats {
             &self.stats
         }
     }
@@ -505,22 +510,20 @@ mod tests {
     /// feedback must count it like the statistics do.
     #[test]
     fn fetch_invalidated_prefetch_reaches_the_manager_feedback() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
         let target = Addr::new(0x10_0000);
         let seen = Arc::new(AtomicU64::new(0));
         let captured = seen.clone();
-        imp_prefetch::registry::register_fn("test-exclusive-once", move |_, ctx| {
+        // Only core 0 prefetches, and only its feedback is counted.
+        registry::register_fn("test-exclusive-once", move |_, ctx| {
+            let core0 = ctx.core == 0;
             Ok(Box::new(ExclusiveOnce {
-                target,
-                // Only core 0 prefetches; only its feedback is counted.
-                fired: ctx.core != 0,
-                evicted_unused: if ctx.core == 0 {
+                target: core0.then_some(target),
+                evicted_unused: if core0 {
                     captured.clone()
                 } else {
                     Arc::default()
                 },
-                stats: Default::default(),
+                stats: PrefetcherStats::default(),
             }))
         })
         .unwrap();
@@ -528,16 +531,13 @@ mod tests {
         // never touches it; core 1 later stores to it, so the home tile
         // fetch-invalidates core 0's copy. Cores 2 and 3 only compute.
         let mut p = Program::new("fetch-invalidate", 4);
-        p.core_mut(0).push(Op::load(
-            Addr::new(0x20_0000),
-            8,
-            Pc::new(1),
-            AccessClass::Stream,
-        ));
+        let pc = Pc::new(1);
+        p.core_mut(0)
+            .push(Op::load(Addr::new(0x20_0000), 8, pc, AccessClass::Stream));
         p.core_mut(0).push(Op::compute(20_000));
         p.core_mut(1).push(Op::compute(5_000));
         p.core_mut(1)
-            .push(Op::store(target, 8, Pc::new(2), AccessClass::Other));
+            .push(Op::store(target, 8, pc, AccessClass::Other));
         p.core_mut(1).push(Op::compute(15_000));
         for c in 2..4 {
             p.core_mut(c).push(Op::compute(20_000));
