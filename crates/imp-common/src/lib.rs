@@ -1,7 +1,8 @@
 //! Common foundation types for the IMP (Indirect Memory Prefetcher)
 //! reproduction: addresses, cycles, system/prefetcher configuration
 //! (Tables 1 and 2 of the paper), a deterministic discrete-event queue,
-//! statistics counters, and a small seedable RNG.
+//! statistics counters, a small seedable RNG, and the byte codec the
+//! on-disk formats share.
 //!
 //! Everything in this crate is dependency-free and deterministic; the
 //! simulator built on top of it replays identically for a given seed.
@@ -18,6 +19,7 @@
 //! ```
 
 pub mod addr;
+pub mod codec;
 pub mod config;
 pub mod event;
 pub mod hash;

@@ -23,6 +23,7 @@
 //! so a custom prefetcher registered from *outside* the simulator crates
 //! runs through `Sim` exactly like the stock ones.
 
+use crate::sweep::SweepCell;
 use imp_adapt::ManagerError;
 use imp_common::config::{
     CoreModel, DramModelKind, MemMode, PagePolicy, PartialMode, PrefetcherSpec, TlbConfig,
@@ -31,7 +32,6 @@ use imp_common::config::{
 use imp_common::{ImpConfig, MemConfig, MemRegion, SystemConfig, SystemStats};
 use imp_obs::{ObsConfig, ObsReport, Probe};
 use imp_sim::{BuildError, RegistryError, RunError, System, VmConfigError};
-use imp_store::CellKey;
 use imp_trace::BarrierMismatch;
 use imp_workloads::{by_name, BuiltArtifact, ChainSpec, Scale, WorkloadError, WorkloadParams};
 use std::fmt;
@@ -465,11 +465,11 @@ impl Sim {
         self.seed
     }
 
-    /// The grid coordinates of this run, as the result store records
-    /// them. Read straight from the builder, so it never fails — even
-    /// for a configuration that does not resolve.
-    pub fn cell(&self) -> CellKey {
-        CellKey {
+    /// The grid coordinates of this run. Read straight from the
+    /// builder, so it never fails — even for a configuration that does
+    /// not resolve.
+    pub fn cell(&self) -> SweepCell {
+        SweepCell {
             workload: self.workload.clone(),
             cores: self.cores,
             prefetcher: self.cfg.prefetcher.clone(),

@@ -40,18 +40,42 @@
 
 use crate::knob::Knob;
 use crate::sim::{Sim, SimError};
-use imp_common::config::{PagePolicy, PartialMode, PrefetcherSpec, TranslationPolicy, WalkModel};
+use imp_common::config::{
+    PagePolicy, PartialMode, PrefetcherSpec, TlbConfig, TranslationPolicy, WalkModel,
+};
 use imp_common::{fnv1a, SplitMix64, SystemStats};
 use imp_obs::{ObsConfig, ObsSummary};
 use imp_store::{cell_digest, ResultStore, StoredResult};
 use imp_workloads::BuiltArtifact;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One point of the sweep grid: the coordinates the result store
-/// records with each cell ([`Sim::cell`]).
-pub use imp_store::CellKey as SweepCell;
+/// One point of the sweep grid: the coordinates a cell was simulated
+/// at ([`Sim::cell`] builds it). The *identity* of a cell is its
+/// canonical input string ([`Sim::canonical_input`]); the coordinates
+/// let reports and tests read the grid without re-parsing canonicals.
+/// The default is an ideal-TLB, unmanaged cell.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SweepCell {
+    /// Workload name (`Sim::workload` argument).
+    pub workload: String,
+    /// Simulated core count.
+    pub cores: u32,
+    /// The prefetcher configuration.
+    pub prefetcher: PrefetcherSpec,
+    /// Adaptive-management policy spec (`None` = unmanaged).
+    pub manager: Option<PrefetcherSpec>,
+    /// Partial cacheline accessing mode.
+    pub partial: PartialMode,
+    /// dTLB / page-walk configuration.
+    pub tlb: TlbConfig,
+    /// Per-region page-size policy overrides, in application order.
+    pub page_policy: Vec<(String, PagePolicy)>,
+    /// Workload generation seed.
+    pub seed: u64,
+}
 
 /// A finished cell: where it ran and what came back.
 #[derive(Clone, Debug)]
@@ -116,6 +140,14 @@ pub struct CellOutcome {
 }
 
 /// What a [`Sweep::run_with`] run did, cell by cell.
+///
+/// Every cell counts once in `cached`, `simulated` or `failed`, so the
+/// three sum to the number of cells. A cell whose canonical input
+/// repeats an earlier cell's is not looked up or simulated again: it
+/// shares that cell's outcome (and its [`CellOutcome::cached`] flag) and
+/// is counted the way that cell is — so `simulated` counts cells whose
+/// result was simulated this run, which can exceed the number of
+/// simulations run.
 #[derive(Debug)]
 pub struct SweepReport {
     /// Per-cell results in [`Sweep::cells`] order.
@@ -512,8 +544,10 @@ impl Sweep {
 /// `threads` workers (default: available parallelism), serving cells
 /// already in `store` and persisting fresh ones. Without a store every
 /// cell is a miss. Cells sharing an input ([`input_groups`]) run over one
-/// built artifact. `observe` attaches an [`ObsSummary`] to every freshly
-/// simulated cell. Outcomes stream to `on_cell` in `sims` order.
+/// built artifact, and cells sharing a canonical input run once (see
+/// [`SweepReport`] for how the repeats count). `observe` attaches an
+/// [`ObsSummary`] to every freshly simulated cell. Outcomes stream to
+/// `on_cell` in `sims` order.
 ///
 /// # Errors
 ///
@@ -533,35 +567,50 @@ where
     let n = sims.len();
 
     // Probe phase: resolve each cell's canonical input and look it
-    // up. Sequential and cheap — config resolution plus one read
-    // per cell; no workload is built here.
+    // up. Sequential and cheap — config resolution plus one read per
+    // distinct canonical; no workload is built here. A cell repeating
+    // an earlier cell's canonical is neither looked up nor simulated:
+    // `first_of` points it at that cell, whose outcome it shares.
     type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
     let mut canonicals: Vec<String> = Vec::with_capacity(n);
     let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
-    for sim in sims {
-        let slot = match sim.canonical_input() {
+    let mut first_of: Vec<Option<usize>> = Vec::with_capacity(n);
+    let mut seen: HashMap<String, usize> = HashMap::with_capacity(n);
+    for (i, sim) in sims.iter().enumerate() {
+        let (slot, first) = match sim.canonical_input() {
             Ok(canonical) => {
+                let first = *seen.entry(canonical.clone()).or_insert(i);
                 let hit = match store {
-                    Some(store) => store
+                    Some(store) if first == i => store
                         .get(&canonical)
                         .map_err(|e| SimError::Store(e.to_string()))?,
-                    None => None,
+                    _ => None,
                 };
                 canonicals.push(canonical);
-                hit.map(|record| Ok((record.stats, None)))
+                (
+                    hit.map(|record| Ok((record.stats, None))),
+                    (first != i).then_some(first),
+                )
             }
             // The configuration itself is invalid: the cell can never
             // be cached, and simulating would fail the same way. Fail
             // it now without touching the store.
             Err(e) => {
                 canonicals.push(format!("<unresolved config: {e}>"));
-                Some(Err(e))
+                (Some(Err(e)), None)
             }
         };
         slots.push(slot);
+        first_of.push(first);
     }
-    let cached_flags: Vec<bool> = slots.iter().map(|s| matches!(s, Some(Ok(_)))).collect();
-    let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    let mut cached_flags: Vec<bool> = Vec::with_capacity(n);
+    for (slot, first) in slots.iter().zip(&first_of) {
+        let cached = first.map_or(matches!(slot, Some(Ok(_))), |j| cached_flags[j]);
+        cached_flags.push(cached);
+    }
+    let missing: Vec<usize> = (0..n)
+        .filter(|&i| slots[i].is_none() && first_of[i].is_none())
+        .collect();
 
     // Build phase: only the groups that still have missing cells,
     // each from its first missing cell's builder.
@@ -588,7 +637,17 @@ where
     };
     let mut delivered = 0;
     let mut flush = |slots: &mut [Option<CellRun>]| {
-        while let Some(run) = slots.get_mut(delivered).and_then(Option::take) {
+        while delivered < n {
+            let run = match first_of[delivered] {
+                Some(j) => match &report.results[j] {
+                    Ok(r) => Ok((r.stats.clone(), r.obs)),
+                    Err(e) => Err(e.error.clone()),
+                },
+                None => match slots[delivered].take() {
+                    Some(run) => run,
+                    None => break,
+                },
+            };
             let cell = sims[delivered].cell();
             let result = match run {
                 Ok((stats, obs)) => {
@@ -628,7 +687,6 @@ where
         if let (Some(store), Ok((stats, _))) = (store, &outcome) {
             let record = StoredResult {
                 canonical: canonicals[i].clone(),
-                cell: sim.cell(),
                 stats: stats.clone(),
             };
             if let Err(e) = store.put(&record) {
@@ -1002,6 +1060,40 @@ mod tests {
         for (a, b) in routed.iter().zip(r.results.iter()) {
             assert_eq!(a.stats, b.as_ref().unwrap().stats);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_canonicals_are_simulated_once() {
+        let dir = std::env::temp_dir().join(format!("imp-sweep-repeat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let sweep = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
+            .prefetchers(["imp", "none", "imp"])
+            .threads(2);
+        assert_eq!(canonical(&sweep, 0), canonical(&sweep, 2));
+
+        let mut seen = Vec::new();
+        let cold = sweep
+            .run_with(&store, |o| seen.push((o.index, o.cached)))
+            .unwrap();
+        assert_eq!(store.counters().puts, 2, "one put per distinct canonical");
+        assert_eq!(store.len().unwrap(), 2);
+        assert_eq!((cold.cached, cold.simulated, cold.failed), (0, 3, 0));
+        assert_eq!(seen, vec![(0, false), (1, false), (2, false)]);
+        let (first, repeat) = (
+            cold.results[0].as_ref().unwrap(),
+            cold.results[2].as_ref().unwrap(),
+        );
+        assert_eq!(first.stats, repeat.stats);
+        assert_eq!(first.cell, repeat.cell);
+
+        // Warm: one lookup per distinct canonical, every cell cached.
+        let warm = sweep.run_with(&store, |_| {}).unwrap();
+        assert_eq!((warm.cached, warm.simulated, warm.failed), (3, 0, 0));
+        assert_eq!(store.counters().hits, 2);
+        let warm_repeat = warm.results[2].as_ref().unwrap();
+        assert_eq!(warm_repeat.stats, repeat.stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,5 +1,6 @@
 //! Sparse page-backed functional memory.
 
+use imp_common::codec::{CodecError, Reader};
 use imp_common::{Addr, FastMap};
 use std::fmt;
 use std::sync::Arc;
@@ -162,37 +163,18 @@ impl FunctionalMemory {
     /// Returns a [`SnapshotError`] when the image is truncated, has
     /// bytes left over, or repeats a page number.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
-            let available = bytes.len() - *pos;
-            if n > available {
-                return Err(SnapshotError::Truncated {
-                    needed: n,
-                    available,
-                });
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let mut pos = 0;
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-        // The count is untrusted until checked against the bytes that
-        // follow — cap the pre-allocation by what the image could
-        // actually hold so a corrupt header errors instead of aborting.
-        let possible = (bytes.len() - pos) / (8 + PAGE_BYTES);
+        let mut r = Reader::new(bytes);
+        let count = r.count_u64("page count", 8 + PAGE_BYTES)?;
         let mut pages = FastMap::default();
-        pages.reserve((count as usize).min(possible));
+        pages.reserve(count);
         for _ in 0..count {
-            let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-            let data: [u8; PAGE_BYTES] =
-                take(&mut pos, PAGE_BYTES)?.try_into().expect("page-sized");
+            let n = r.u64("page number")?;
+            let data: [u8; PAGE_BYTES] = r.array("page data")?;
             if pages.insert(n, Arc::new(data)).is_some() {
                 return Err(SnapshotError::DuplicatePage(n));
             }
         }
-        if pos != bytes.len() {
-            return Err(SnapshotError::TrailingBytes(bytes.len() - pos));
-        }
+        r.finish()?;
         Ok(FunctionalMemory { pages })
     }
 
@@ -208,15 +190,8 @@ impl FunctionalMemory {
 /// Why a [`FunctionalMemory::snapshot`] image could not be restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The image ended before a page record was complete.
-    Truncated {
-        /// Bytes the next record needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// The image has bytes after the declared page records.
-    TrailingBytes(usize),
+    /// The image is truncated or has bytes after its page records.
+    Codec(CodecError),
     /// The same page number appears twice.
     DuplicatePage(u64),
 }
@@ -224,13 +199,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Truncated { needed, available } => write!(
-                f,
-                "truncated memory snapshot: record needs {needed} bytes, {available} left"
-            ),
-            SnapshotError::TrailingBytes(n) => {
-                write!(f, "{n} unexpected bytes after the memory snapshot")
-            }
+            SnapshotError::Codec(e) => write!(f, "malformed memory snapshot: {e}"),
             SnapshotError::DuplicatePage(p) => {
                 write!(f, "page {p:#x} appears twice in the memory snapshot")
             }
@@ -238,7 +207,20 @@ impl fmt::Display for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {}
+impl std::error::Error for SnapshotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SnapshotError::Codec(e) => Some(e),
+            SnapshotError::DuplicatePage(_) => None,
+        }
+    }
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        SnapshotError::Codec(e)
+    }
+}
 
 fn split(addr: Addr) -> (u64, usize) {
     (
@@ -336,13 +318,13 @@ mod tests {
         let image = m.snapshot();
         assert!(matches!(
             FunctionalMemory::restore(&image[..image.len() - 1]),
-            Err(SnapshotError::Truncated { .. })
+            Err(SnapshotError::Codec(CodecError::Truncated { .. }))
         ));
         let mut padded = image.clone();
         padded.push(0);
         assert!(matches!(
             FunctionalMemory::restore(&padded),
-            Err(SnapshotError::TrailingBytes(1))
+            Err(SnapshotError::Codec(CodecError::TrailingBytes(1)))
         ));
         // Duplicate the single page record and fix up the count.
         let mut dup = image.clone();
@@ -357,7 +339,7 @@ mod tests {
         huge[0..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         assert!(matches!(
             FunctionalMemory::restore(&huge),
-            Err(SnapshotError::Truncated { .. })
+            Err(SnapshotError::Codec(CodecError::Truncated { .. }))
         ));
     }
 }

@@ -10,15 +10,18 @@
 //! [`imp_common::SystemStats`] result persists on disk under
 //! `<store>/<digest[..2]>/<digest>.impres`.
 //!
-//! The `.impres` container follows the same magic + version + FNV-1a
-//! checksum discipline as `.imptrace`: corruption is detected on read
-//! (and surfaces as a *miss*, never as garbage data), newer versions are
-//! rejected, and the canonical string is stored verbatim in the record
-//! so a digest collision — or a stale record hashed under an older
-//! canonical scheme — is caught by direct comparison, not trusted.
+//! An `.impres` record holds exactly what a store hit reads back: the
+//! canonical string and the stats. It is framed by the codec every
+//! on-disk format shares ([`imp_common::codec`]: magic + version +
+//! FNV-1a checksum), so corruption is detected on read (and surfaces as
+//! a *miss*, never as garbage data), a record of any other version is a
+//! miss, and the verbatim canonical string catches a digest collision —
+//! or a stale record hashed under an older canonical scheme — by direct
+//! comparison, not trust. The crate names no configuration type: the
+//! canonical string already renders every knob.
 //!
 //! ```
-//! use imp_store::{cell_digest, digest_hex, CellKey, ResultStore, StoredResult};
+//! use imp_store::{cell_digest, digest_hex, ResultStore, StoredResult};
 //! use imp_common::stats::SystemStats;
 //!
 //! let dir = std::env::temp_dir().join(format!("impstore-doc-{}", std::process::id()));
@@ -27,7 +30,6 @@
 //! let canonical = "demo-cell-v1";
 //! let record = StoredResult {
 //!     canonical: canonical.to_string(),
-//!     cell: CellKey::default(),
 //!     stats: SystemStats::default(),
 //! };
 //! assert!(store.get(canonical).unwrap().is_none()); // cold
@@ -49,5 +51,5 @@ mod record;
 mod store;
 
 pub use digest::{cell_digest, digest_hex};
-pub use record::{CellKey, StoreError, StoredResult, MAGIC, VERSION};
+pub use record::{StoreError, StoredResult, MAGIC, VERSION};
 pub use store::{ResultStore, StoreCounters};

@@ -116,8 +116,10 @@ impl ResultStore {
     /// Persists `record` under its canonical string's digest.
     ///
     /// The write is atomic at the filesystem level: bytes go to a
-    /// unique temporary file in the same shard directory, then rename
-    /// into place — a reader never observes a half-written record.
+    /// temporary file in the same shard directory, named uniquely per
+    /// put (process id plus a process-wide counter), then rename into
+    /// place — a reader never observes a half-written record, and
+    /// concurrent puts of one cell never share a temporary file.
     ///
     /// # Errors
     ///
@@ -126,12 +128,16 @@ impl ResultStore {
         let path = self.path_for(&record.canonical);
         let dir = path.parent().expect("sharded path has a parent");
         std::fs::create_dir_all(dir)?;
+        // Unique per put, not just per process: two threads writing the
+        // same cell must not rename each other's temporary file away.
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let tmp = dir.join(format!(
-            ".{}.{}.tmp",
+            ".{}.{}.{}.tmp",
             path.file_name()
                 .expect("sharded path has a file name")
                 .to_string_lossy(),
             std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed),
         ));
         std::fs::write(&tmp, record.to_bytes())?;
         if let Err(e) = std::fs::rename(&tmp, &path) {
@@ -197,12 +203,6 @@ mod tests {
     fn record(canonical: &str) -> StoredResult {
         StoredResult {
             canonical: canonical.to_string(),
-            cell: crate::CellKey {
-                workload: "spmv".to_string(),
-                cores: 4,
-                seed: 1,
-                ..crate::CellKey::default()
-            },
             stats: SystemStats {
                 runtime: 42,
                 ..SystemStats::default()
@@ -273,6 +273,57 @@ mod tests {
         let hex = digest_hex(cell_digest("abc"));
         let path = store.path_for("abc");
         assert_eq!(path, dir.join(&hex[..2]).join(format!("{hex}.impres")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_2_records_are_misses_and_get_overwritten() {
+        let dir = scratch("v2");
+        let store = ResultStore::open(&dir).unwrap();
+        let rec = record("cell-v2");
+        // A version-2 record: the canonical, then a cell-key section
+        // this reader no longer knows, under a valid checksum.
+        let v2 = imp_common::codec::seal(&crate::MAGIC, 2, |out| {
+            imp_common::codec::put_str(out, &rec.canonical);
+            imp_common::codec::put_str(out, "spmv");
+            out.extend_from_slice(&[0; 64]);
+        });
+        let path = store.path_for(&rec.canonical);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, v2).unwrap();
+
+        assert_eq!(store.get(&rec.canonical).unwrap(), None);
+        let c = store.counters();
+        assert_eq!((c.hits, c.misses, c.rejected), (0, 1, 1));
+
+        assert_eq!(store.put(&rec).unwrap(), path);
+        assert_eq!(store.get(&rec.canonical).unwrap().as_ref(), Some(&rec));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_cell_all_succeed() {
+        const THREADS: usize = 2;
+        const PUTS: usize = 200;
+        let dir = scratch("race");
+        let store = ResultStore::open(&dir).unwrap();
+        let rec = record("cell-race");
+        let start = std::sync::Barrier::new(THREADS);
+        let failed: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..PUTS).filter(|_| store.put(&rec).is_err()).count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failed, 0, "{failed} of {} puts failed", THREADS * PUTS);
+        assert_eq!(store.counters().puts, (THREADS * PUTS) as u64);
+        assert_eq!(store.len().unwrap(), 1);
+        assert_eq!(store.get(&rec.canonical).unwrap().as_ref(), Some(&rec));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -35,8 +35,9 @@
 //! ```
 
 use crate::{Op, OpKind, Program};
+use imp_common::codec::{self, CodecError, Reader};
 use imp_common::stats::AccessClass;
-use imp_common::{fnv1a, Pc};
+use imp_common::Pc;
 use std::fmt;
 use std::path::Path;
 
@@ -54,65 +55,15 @@ pub const OP_BYTES: usize = 16;
 pub enum TraceError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion(u32),
-    /// The file ended before a section was complete.
-    Truncated {
-        /// Which section was being read.
-        section: &'static str,
-        /// Bytes the section needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// The program name is not valid UTF-8.
-    BadName,
-    /// An op's kind byte is not a known [`OpKind`].
-    BadOpKind(u8),
-    /// An op's class byte is not a known [`AccessClass`].
-    BadAccessClass(u8),
-    /// The stored checksum does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        stored: u64,
-        /// Checksum of the bytes actually read.
-        computed: u64,
-    },
-    /// The file has bytes after the checksum trailer.
-    TrailingBytes(usize),
+    /// The bytes are not a well-formed `.imptrace` file.
+    Codec(CodecError),
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
-            TraceError::BadMagic => write!(f, "not an .imptrace file (bad magic)"),
-            TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported .imptrace version {v} (reader supports {VERSION})"
-                )
-            }
-            TraceError::Truncated {
-                section,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated .imptrace: {section} needs {needed} bytes, {available} left"
-            ),
-            TraceError::BadName => write!(f, "program name is not valid UTF-8"),
-            TraceError::BadOpKind(b) => write!(f, "unknown op kind byte {b:#x}"),
-            TraceError::BadAccessClass(b) => write!(f, "unknown access class byte {b:#x}"),
-            TraceError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: file says {stored:#018x}, contents hash to {computed:#018x}"
-            ),
-            TraceError::TrailingBytes(n) => {
-                write!(f, "{n} unexpected bytes after the checksum trailer")
-            }
+            TraceError::Codec(e) => write!(f, "malformed .imptrace file: {e}"),
         }
     }
 }
@@ -121,7 +72,7 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            _ => None,
+            TraceError::Codec(e) => Some(e),
         }
     }
 }
@@ -129,6 +80,12 @@ impl std::error::Error for TraceError {
 impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         TraceError::Io(e)
+    }
+}
+
+impl From<CodecError> for TraceError {
+    fn from(e: CodecError) -> Self {
+        TraceError::Codec(e)
     }
 }
 
@@ -161,103 +118,59 @@ impl TraceFile {
     pub fn to_bytes(&self) -> Vec<u8> {
         let cores = self.program.cores();
         let total_ops: usize = (0..cores).map(|c| self.program.ops(c).len()).sum();
-        let name = self.program.name().as_bytes();
-        let mut out = Vec::with_capacity(
-            MAGIC.len()
-                + 4
-                + 4
-                + name.len()
-                + 4
-                + 8 * cores
-                + OP_BYTES * total_ops
-                + 8
-                + self.payload.len()
-                + 8,
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(cores as u32).to_le_bytes());
-        for c in 0..cores {
-            out.extend_from_slice(&(self.program.ops(c).len() as u64).to_le_bytes());
-        }
-        for c in 0..cores {
-            for op in self.program.ops(c) {
-                encode_op(op, &mut out);
+        let name = self.program.name();
+        codec::seal(&MAGIC, VERSION, |out| {
+            out.reserve(
+                8 + name.len() + 8 * cores + OP_BYTES * total_ops + 8 + self.payload.len() + 8,
+            );
+            codec::put_str(out, name);
+            out.extend_from_slice(&(cores as u32).to_le_bytes());
+            for c in 0..cores {
+                out.extend_from_slice(&(self.program.ops(c).len() as u64).to_le_bytes());
             }
-        }
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+            for c in 0..cores {
+                for op in self.program.ops(c) {
+                    encode_op(op, out);
+                }
+            }
+            out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(&self.payload);
+        })
     }
 
     /// Parses the `.imptrace` byte layout.
     ///
     /// # Errors
     ///
-    /// Any structural defect — wrong magic, newer version, truncation,
-    /// invalid op bytes, checksum mismatch — comes back as the matching
-    /// [`TraceError`] variant.
+    /// Any structural defect — wrong magic, other version, truncation,
+    /// invalid op bytes, checksum mismatch — comes back as
+    /// [`TraceError::Codec`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < 8 {
-            return Err(TraceError::Truncated {
-                section: "checksum trailer",
-                needed: 8,
-                available: bytes.len(),
-            });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(TraceError::ChecksumMismatch { stored, computed });
-        }
-
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take("magic", MAGIC.len())? != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let name_len = r.u32("name length")? as usize;
-        let name = std::str::from_utf8(r.take("name", name_len)?)
-            .map_err(|_| TraceError::BadName)?
-            .to_string();
-        let cores = r.u32("core count")? as usize;
-        // Lengths are untrusted until checked against the bytes that
-        // remain — never size an allocation from them alone, or a
-        // malformed (checksum-valid) file aborts instead of erroring.
-        let mut lens = Vec::with_capacity(cores.min(r.remaining() / 8));
-        for _ in 0..cores {
-            lens.push(r.u64("stream length")? as usize);
-        }
+        let mut r = codec::open(bytes, &MAGIC, VERSION)?;
+        let name = r.string("name")?;
+        let cores = r.count_u32("stream lengths", 8)?;
+        let lens = (0..cores)
+            .map(|_| r.u64("stream length"))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut program = Program::new(&name, cores);
         for (c, &len) in lens.iter().enumerate() {
-            let needed = len.saturating_mul(OP_BYTES);
-            if needed > r.remaining() {
-                return Err(TraceError::Truncated {
-                    section: "op stream",
-                    needed,
-                    available: r.remaining(),
-                });
-            }
+            let len = usize::try_from(len).unwrap_or(usize::MAX);
+            let ops = r.take("op stream", len.saturating_mul(OP_BYTES))?;
             let stream = program.core_mut(c);
             stream.reserve(len);
-            for _ in 0..len {
-                stream.push(decode_op(r.take("op", OP_BYTES)?)?);
+            for op in ops.chunks_exact(OP_BYTES) {
+                stream.push(decode_op(op)?);
             }
         }
         program.freeze();
-        let payload_len = r.u64("payload length")? as usize;
-        let payload = r.take("payload", payload_len)?.to_vec();
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes(body.len() - r.pos));
-        }
+        let payload_len = r.u64("payload length")?;
+        let payload = r
+            .take(
+                "payload",
+                usize::try_from(payload_len).unwrap_or(usize::MAX),
+            )?
+            .to_vec();
+        r.finish()?;
         Ok(TraceFile { program, payload })
     }
 
@@ -275,7 +188,7 @@ impl TraceFile {
     /// # Errors
     ///
     /// Filesystem failures surface as [`TraceError::Io`]; malformed
-    /// contents as the other [`TraceError`] variants.
+    /// contents as [`TraceError::Codec`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         Self::from_bytes(&std::fs::read(path)?)
     }
@@ -301,43 +214,6 @@ impl Program {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, section: &'static str, n: usize) -> Result<&'a [u8], TraceError> {
-        let available = self.remaining();
-        if n > available {
-            return Err(TraceError::Truncated {
-                section,
-                needed: n,
-                available,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, section: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(
-            self.take(section, 4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, section: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(
-            self.take(section, 8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
 fn encode_op(op: &Op, out: &mut Vec<u8>) {
     out.extend_from_slice(&op.addr.to_le_bytes());
     out.extend_from_slice(&op.pc.raw().to_le_bytes());
@@ -347,17 +223,15 @@ fn encode_op(op: &Op, out: &mut Vec<u8>) {
     out.push(op.dep);
 }
 
-fn decode_op(bytes: &[u8]) -> Result<Op, TraceError> {
-    debug_assert_eq!(bytes.len(), OP_BYTES);
+fn decode_op(bytes: &[u8]) -> Result<Op, CodecError> {
+    let mut r = Reader::new(bytes);
     Ok(Op {
-        addr: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-        pc: Pc::new(u32::from_le_bytes(
-            bytes[8..12].try_into().expect("4 bytes"),
-        )),
-        kind: kind_from_byte(bytes[12])?,
-        size: bytes[13],
-        class: class_from_byte(bytes[14])?,
-        dep: bytes[15],
+        addr: r.u64("op address")?,
+        pc: Pc::new(r.u32("op pc")?),
+        kind: kind_from_byte(r.u8("op kind")?)?,
+        size: r.u8("op size")?,
+        class: class_from_byte(r.u8("op class")?)?,
+        dep: r.u8("op dep")?,
     })
 }
 
@@ -371,22 +245,30 @@ fn kind_byte(kind: OpKind) -> u8 {
     }
 }
 
-fn kind_from_byte(b: u8) -> Result<OpKind, TraceError> {
-    Ok(match b {
+fn kind_from_byte(value: u8) -> Result<OpKind, CodecError> {
+    Ok(match value {
         0 => OpKind::Compute,
         1 => OpKind::Load,
         2 => OpKind::Store,
         3 => OpKind::SwPrefetch,
         4 => OpKind::Barrier,
-        other => return Err(TraceError::BadOpKind(other)),
+        _ => {
+            return Err(CodecError::BadTag {
+                section: "op kind",
+                value,
+            })
+        }
     })
 }
 
-fn class_from_byte(b: u8) -> Result<AccessClass, TraceError> {
+fn class_from_byte(value: u8) -> Result<AccessClass, CodecError> {
     AccessClass::ALL
-        .get(b as usize)
+        .get(usize::from(value))
         .copied()
-        .ok_or(TraceError::BadAccessClass(b))
+        .ok_or(CodecError::BadTag {
+            section: "access class",
+            value,
+        })
 }
 
 #[cfg(test)]
@@ -441,6 +323,12 @@ mod tests {
         assert_eq!(back.validate_barriers(), p.validate_barriers());
     }
 
+    /// The body of a sealed file: what sits between the version and
+    /// the checksum trailer.
+    fn body(bytes: &[u8]) -> &[u8] {
+        &bytes[12..bytes.len() - 8]
+    }
+
     #[test]
     fn corruption_is_detected() {
         let bytes = TraceFile::new(sample()).to_bytes();
@@ -450,24 +338,22 @@ mod tests {
         bad[bytes.len() / 2] ^= 0xff;
         assert!(matches!(
             TraceFile::from_bytes(&bad),
-            Err(TraceError::ChecksumMismatch { .. })
+            Err(TraceError::Codec(CodecError::ChecksumMismatch { .. }))
         ));
 
         // Truncation before the trailer.
         assert!(matches!(
             TraceFile::from_bytes(&bytes[..4]),
-            Err(TraceError::Truncated { .. })
+            Err(TraceError::Codec(CodecError::Truncated { .. }))
         ));
 
-        // Wrong magic with a fixed-up checksum.
-        let mut wrong = bytes.clone();
-        wrong[0] = b'X';
-        let body_len = wrong.len() - 8;
-        let sum = fnv1a(&wrong[..body_len]);
-        wrong[body_len..].copy_from_slice(&sum.to_le_bytes());
+        // Wrong magic under a valid checksum.
+        let wrong = codec::seal(b"XMPTRACE", VERSION, |out| {
+            out.extend_from_slice(body(&bytes))
+        });
         assert!(matches!(
             TraceFile::from_bytes(&wrong),
-            Err(TraceError::BadMagic)
+            Err(TraceError::Codec(CodecError::BadMagic))
         ));
     }
 
@@ -475,34 +361,32 @@ mod tests {
     fn absurd_stream_lengths_error_instead_of_allocating() {
         let mut p = Program::new("k", 1);
         p.core_mut(0).push(Op::compute(1));
-        let mut bytes = TraceFile::new(p).to_bytes();
-        // The single stream-length field sits after
-        // magic(8)+version(4)+name(4+1)+cores(4); forge it huge and
-        // re-stamp the checksum so only the length check can reject it.
-        let len_at = 8 + 4 + 4 + 1 + 4;
-        bytes[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let mut body = body(&TraceFile::new(p).to_bytes()).to_vec();
+        // The single stream-length field sits after name(4+1)+cores(4);
+        // forge it huge under a valid checksum so only the length check
+        // can reject it.
+        let len_at = 4 + 1 + 4;
+        body[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            TraceFile::from_bytes(&bytes),
-            Err(TraceError::Truncated {
+            TraceFile::from_bytes(&codec::seal(&MAGIC, VERSION, |out| out.extend_from_slice(&body))),
+            Err(TraceError::Codec(CodecError::Truncated {
                 section: "op stream",
                 ..
-            })
+            }))
         ));
     }
 
     #[test]
     fn newer_versions_are_rejected() {
-        let mut bytes = TraceFile::new(sample()).to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let bytes = TraceFile::new(sample()).to_bytes();
         assert!(matches!(
-            TraceFile::from_bytes(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
+            TraceFile::from_bytes(
+                &codec::seal(&MAGIC, 99, |out| out.extend_from_slice(body(&bytes)))
+            ),
+            Err(TraceError::Codec(CodecError::UnsupportedVersion {
+                found: 99,
+                supported: VERSION
+            }))
         ));
     }
 
@@ -510,17 +394,17 @@ mod tests {
     fn bad_op_bytes_are_typed_errors() {
         let mut p = Program::new("k", 1);
         p.core_mut(0).push(Op::compute(1));
-        let mut bytes = TraceFile::new(p).to_bytes();
+        let mut body = body(&TraceFile::new(p).to_bytes()).to_vec();
         // The op's kind byte sits 12 bytes into the op record; the op
-        // record starts after magic(8)+version(4)+name(4+1)+cores(4)+len(8).
-        let op_start = 8 + 4 + 4 + 1 + 4 + 8;
-        bytes[op_start + 12] = 200;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        // record starts after name(4+1)+cores(4)+len(8).
+        let op_start = 4 + 1 + 4 + 8;
+        body[op_start + 12] = 200;
         assert!(matches!(
-            TraceFile::from_bytes(&bytes),
-            Err(TraceError::BadOpKind(200))
+            TraceFile::from_bytes(&codec::seal(&MAGIC, VERSION, |out| out.extend_from_slice(&body))),
+            Err(TraceError::Codec(CodecError::BadTag {
+                section: "op kind",
+                value: 200
+            }))
         ));
     }
 }

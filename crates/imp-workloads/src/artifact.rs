@@ -30,6 +30,7 @@
 //! ```
 
 use crate::{Built, Workload, WorkloadParams};
+use imp_common::codec::{self, CodecError, Reader};
 use imp_common::{MemRegion, PagePolicy};
 use imp_mem::{FunctionalMemory, SnapshotError};
 use imp_trace::{Program, TraceError, TraceFile};
@@ -114,22 +115,33 @@ impl BuiltArtifact {
     ///
     /// # Errors
     ///
+    /// See [`BuiltArtifact::from_bytes`]; filesystem failures surface
+    /// as [`ArtifactError::Trace`]`(`[`TraceError::Io`]`)`.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
+        Self::from_bytes(&std::fs::read(path).map_err(TraceError::Io)?)
+    }
+
+    /// Parses the bytes [`BuiltArtifact::save`] writes (see
+    /// [`BuiltArtifact::load`] for program-only traces).
+    ///
+    /// # Errors
+    ///
     /// Malformed containers surface as [`ArtifactError::Trace`]; a
     /// well-formed container whose non-empty payload is not an artifact
-    /// payload (too short, corrupt region records, or a corrupt memory
-    /// image) as the other variants.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
-        let tf = TraceFile::load(path)?;
+    /// payload (too short, missing or corrupt region records, or a
+    /// corrupt memory image) as the other variants.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let tf = TraceFile::from_bytes(bytes)?;
         let (result, regions, mem) = if tf.payload.is_empty() {
             (f64::NAN, Vec::new(), FunctionalMemory::new())
         } else {
-            if tf.payload.len() < 8 {
-                return Err(ArtifactError::ShortPayload(tf.payload.len()));
-            }
-            let (result_bytes, rest) = tf.payload.split_at(8);
-            let result = f64::from_le_bytes(result_bytes.try_into().expect("8 bytes"));
-            let (regions, image) = decode_regions(rest)?;
-            (result, regions, FunctionalMemory::restore(image)?)
+            let mut r = Reader::new(&tf.payload);
+            let result = r
+                .array("result")
+                .map(f64::from_le_bytes)
+                .map_err(|_| ArtifactError::ShortPayload(tf.payload.len()))?;
+            let regions = decode_regions(&mut r).map_err(ArtifactError::MalformedRegions)?;
+            (result, regions, FunctionalMemory::restore(r.rest())?)
         };
         Ok(BuiltArtifact::from(Built {
             program: tf.program,
@@ -140,12 +152,12 @@ impl BuiltArtifact {
     }
 }
 
-/// Marks a region-records section in the artifact payload. Payloads
-/// written before regions existed go straight from the result field to
-/// the memory image, whose first 8 bytes are its page *count* — this
-/// marker read as a count would claim ~10^18 pages, so the two layouts
-/// cannot collide and old artifacts keep loading (with no regions).
+/// Marks the region-records section of the artifact payload.
 const REGIONS_MAGIC: [u8; 8] = *b"IMPREGN1";
+
+/// Bytes the smallest region record takes: empty name (4), base (8),
+/// extent (8), policy tag (1) and policy argument (8).
+const MIN_REGION_BYTES: usize = 29;
 
 /// Serializes the region/placement records: the [`REGIONS_MAGIC`]
 /// marker, a `u32` count, then per region a length-prefixed UTF-8
@@ -156,8 +168,7 @@ fn encode_regions(regions: &[MemRegion], out: &mut Vec<u8>) {
     out.extend_from_slice(&REGIONS_MAGIC);
     out.extend_from_slice(&(regions.len() as u32).to_le_bytes());
     for r in regions {
-        out.extend_from_slice(&(r.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(r.name.as_bytes());
+        codec::put_str(out, &r.name);
         out.extend_from_slice(&r.base.to_le_bytes());
         out.extend_from_slice(&r.bytes.to_le_bytes());
         let (tag, arg) = match r.policy {
@@ -170,55 +181,39 @@ fn encode_regions(regions: &[MemRegion], out: &mut Vec<u8>) {
     }
 }
 
-/// Parses the region records written by [`encode_regions`], returning
-/// them together with the remaining (memory-image) bytes. A payload
-/// without the [`REGIONS_MAGIC`] marker predates region records (or
-/// was written by an external recorder): it decodes as no regions,
-/// with every byte belonging to the memory image.
-fn decode_regions(bytes: &[u8]) -> Result<(Vec<MemRegion>, &[u8]), ArtifactError> {
-    let Some(body) = bytes.strip_prefix(&REGIONS_MAGIC[..]) else {
-        return Ok((Vec::new(), bytes));
-    };
-    let bytes = body;
-    fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], ArtifactError> {
-        if n > bytes.len() - *pos {
-            return Err(ArtifactError::MalformedRegions("truncated region records"));
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    }
-    let mut pos = 0usize;
-    let count = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-    // The count is untrusted until checked against the bytes that
-    // follow — cap the pre-allocation by the smallest possible record.
-    let mut regions = Vec::with_capacity(count.min(bytes.len() / 29));
-    for _ in 0..count {
-        let name_len =
-            u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let name = std::str::from_utf8(take(bytes, &mut pos, name_len)?)
-            .map_err(|_| ArtifactError::MalformedRegions("region name is not UTF-8"))?
-            .to_string();
-        let base = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let tag = take(bytes, &mut pos, 1)?[0];
-        let arg = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let policy = match tag {
-            0 => PagePolicy::Base4K,
-            1 => PagePolicy::Huge2M,
-            2 => PagePolicy::Auto {
-                threshold_bytes: arg,
-            },
-            _ => return Err(ArtifactError::MalformedRegions("unknown page-policy tag")),
-        };
-        regions.push(MemRegion {
-            name,
-            base,
-            bytes: len,
-            policy,
-        });
-    }
-    Ok((regions, &bytes[pos..]))
+/// Reads the region records written by [`encode_regions`], leaving `r`
+/// at the memory image that follows them.
+fn decode_regions(r: &mut Reader<'_>) -> Result<Vec<MemRegion>, CodecError> {
+    r.magic(&REGIONS_MAGIC)?;
+    let count = r.count_u32("region count", MIN_REGION_BYTES)?;
+    (0..count)
+        .map(|_| {
+            let name = r.string("region name")?;
+            let base = r.u64("region base")?;
+            let bytes = r.u64("region extent")?;
+            let tag = r.u8("page policy")?;
+            let arg = r.u64("page policy argument")?;
+            let policy = match tag {
+                0 => PagePolicy::Base4K,
+                1 => PagePolicy::Huge2M,
+                2 => PagePolicy::Auto {
+                    threshold_bytes: arg,
+                },
+                value => {
+                    return Err(CodecError::BadTag {
+                        section: "page policy",
+                        value,
+                    })
+                }
+            };
+            Ok(MemRegion {
+                name,
+                base,
+                bytes,
+                policy,
+            })
+        })
+        .collect()
 }
 
 /// Why an artifact could not be saved or loaded.
@@ -228,8 +223,9 @@ pub enum ArtifactError {
     Trace(TraceError),
     /// The container's payload ends before the 8-byte result field.
     ShortPayload(usize),
-    /// The region/placement records inside the payload are malformed.
-    MalformedRegions(&'static str),
+    /// The region/placement records inside the payload are missing or
+    /// malformed.
+    MalformedRegions(CodecError),
     /// The memory image inside the payload is malformed.
     Memory(SnapshotError),
 }
@@ -242,8 +238,8 @@ impl fmt::Display for ArtifactError {
                 f,
                 "artifact payload is {n} bytes; needs at least the 8-byte result"
             ),
-            ArtifactError::MalformedRegions(what) => {
-                write!(f, "artifact region records are malformed: {what}")
+            ArtifactError::MalformedRegions(e) => {
+                write!(f, "malformed artifact region records: {e}")
             }
             ArtifactError::Memory(e) => write!(f, "{e}"),
         }
@@ -254,8 +250,9 @@ impl std::error::Error for ArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ArtifactError::Trace(e) => Some(e),
+            ArtifactError::MalformedRegions(e) => Some(e),
             ArtifactError::Memory(e) => Some(e),
-            ArtifactError::ShortPayload(_) | ArtifactError::MalformedRegions(_) => None,
+            ArtifactError::ShortPayload(_) => None,
         }
     }
 }
@@ -493,51 +490,46 @@ mod tests {
         let mut bytes = Vec::new();
         encode_regions(&regions, &mut bytes);
         bytes.extend_from_slice(b"tail");
-        let (back, rest) = decode_regions(&bytes).unwrap();
-        assert_eq!(back, regions);
-        assert_eq!(rest, b"tail");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_regions(&mut r).unwrap(), regions);
+        assert_eq!(r.rest(), b"tail");
 
-        // A payload without the marker is the pre-region layout: no
-        // records, every byte left for the memory image — old
-        // artifacts keep loading.
-        let legacy = FunctionalMemory::new().snapshot();
-        let (none, rest) = decode_regions(&legacy).unwrap();
-        assert!(none.is_empty());
-        assert_eq!(rest, &legacy[..]);
-
-        // Truncation and a bad policy tag are typed errors.
+        // Truncation, a missing marker and a bad policy tag are typed
+        // errors.
         assert!(matches!(
-            decode_regions(&bytes[..10]),
-            Err(ArtifactError::MalformedRegions(_))
+            decode_regions(&mut Reader::new(&bytes[..10])),
+            Err(CodecError::Truncated { .. })
         ));
+        assert_eq!(
+            decode_regions(&mut Reader::new(&FunctionalMemory::new().snapshot())),
+            Err(CodecError::BadMagic)
+        );
         let mut bad_tag = Vec::new();
         encode_regions(&regions[..1], &mut bad_tag);
         let tag_at = bad_tag.len() - 9;
         bad_tag[tag_at] = 99;
-        assert!(matches!(
-            decode_regions(&bad_tag),
-            Err(ArtifactError::MalformedRegions("unknown page-policy tag"))
-        ));
+        assert_eq!(
+            decode_regions(&mut Reader::new(&bad_tag)),
+            Err(CodecError::BadTag {
+                section: "page policy",
+                value: 99
+            })
+        );
     }
 
     #[test]
-    fn pre_region_payloads_still_load() {
-        // Reconstruct the PR 2-4 payload layout by hand: result bytes
-        // followed directly by the memory image, no region section.
+    fn payloads_without_region_records_are_typed_errors() {
+        // The result field followed directly by the memory image, with
+        // no region section, is not an artifact payload.
         let params = WorkloadParams::new(2, Scale::Tiny);
         let built = by_name("spmv").unwrap().build(&params);
         let mut payload = built.result.to_le_bytes().to_vec();
         payload.extend_from_slice(&built.mem.snapshot());
-        let path = temp_path("legacy");
-        TraceFile::with_payload(built.program.clone(), payload)
-            .save(&path)
-            .unwrap();
-
-        let loaded = BuiltArtifact::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.result(), built.result);
-        assert!(loaded.regions().is_empty(), "old artifacts carry none");
-        assert_eq!(loaded.mem().mapped_pages(), built.mem.mapped_pages());
+        let bytes = TraceFile::with_payload(built.program, payload).to_bytes();
+        assert!(matches!(
+            BuiltArtifact::from_bytes(&bytes),
+            Err(ArtifactError::MalformedRegions(CodecError::BadMagic))
+        ));
     }
 
     #[test]
