@@ -164,7 +164,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// A bounds-checked little-endian cursor over untrusted bytes. Every
 /// read names the section it is reading, which the error carries.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -176,6 +176,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    #[inline]
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -185,6 +186,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, section: &'static str, n: usize) -> Result<&'a [u8], CodecError> {
         let available = self.remaining();
         if n > available {
@@ -216,6 +218,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at the end of the input.
+    #[inline]
     pub fn u8(&mut self, section: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(section, 1)?[0])
     }
@@ -225,6 +228,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when fewer than 4 bytes remain.
+    #[inline]
     pub fn u32(&mut self, section: &'static str) -> Result<u32, CodecError> {
         self.array(section).map(u32::from_le_bytes)
     }
@@ -234,8 +238,24 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when fewer than 8 bytes remain.
+    #[inline]
     pub fn u64(&mut self, section: &'static str) -> Result<u64, CodecError> {
         self.array(section).map(u64::from_le_bytes)
+    }
+
+    /// `N` consecutive little-endian `u64` words, bounds-checked once.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] when fewer than `8 * N` bytes remain.
+    pub fn u64_array<const N: usize>(
+        &mut self,
+        section: &'static str,
+    ) -> Result<[u64; N], CodecError> {
+        let bytes = self.take(section, 8 * N)?;
+        Ok(std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+        }))
     }
 
     /// A string written by [`put_str`]: `u32` length, then UTF-8 bytes.

@@ -573,33 +573,36 @@ where
     // `first_of` points it at that cell, whose outcome it shares.
     type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
     let mut canonicals: Vec<String> = Vec::with_capacity(n);
+    let mut digests: Vec<u64> = Vec::with_capacity(n);
     let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
     let mut first_of: Vec<Option<usize>> = Vec::with_capacity(n);
-    let mut seen: HashMap<String, usize> = HashMap::with_capacity(n);
+    // Keyed by digest; a collision is told apart by the canonicals.
+    let mut seen: HashMap<u64, usize> = HashMap::with_capacity(n);
     for (i, sim) in sims.iter().enumerate() {
-        let (slot, first) = match sim.canonical_input() {
-            Ok(canonical) => {
-                let first = *seen.entry(canonical.clone()).or_insert(i);
-                let hit = match store {
-                    Some(store) if first == i => store
+        let (canonical, error) = match sim.canonical_input() {
+            Ok(canonical) => (canonical, None),
+            Err(e) => (format!("<unresolved config: {e}>"), Some(e)),
+        };
+        let digest = cell_digest(&canonical);
+        let (slot, first) = match error {
+            // The configuration itself is invalid: the cell can never
+            // be cached, and simulating would fail the same way. Fail
+            // it now without touching the store.
+            Some(e) => (Some(Err(e)), None),
+            None => {
+                let first = Some(*seen.entry(digest).or_insert(i))
+                    .filter(|&j| j != i && canonicals[j] == canonical);
+                let hit = match (store, first) {
+                    (Some(store), None) => store
                         .get(&canonical)
                         .map_err(|e| SimError::Store(e.to_string()))?,
                     _ => None,
                 };
-                canonicals.push(canonical);
-                (
-                    hit.map(|record| Ok((record.stats, None))),
-                    (first != i).then_some(first),
-                )
-            }
-            // The configuration itself is invalid: the cell can never
-            // be cached, and simulating would fail the same way. Fail
-            // it now without touching the store.
-            Err(e) => {
-                canonicals.push(format!("<unresolved config: {e}>"));
-                (Some(Err(e)), None)
+                (hit.map(|record| Ok((record.stats, None))), first)
             }
         };
+        canonicals.push(canonical);
+        digests.push(digest);
         slots.push(slot);
         first_of.push(first);
     }
@@ -668,7 +671,7 @@ where
             let outcome = CellOutcome {
                 index: delivered,
                 canonical: canonicals[delivered].clone(),
-                digest: cell_digest(&canonicals[delivered]),
+                digest: digests[delivered],
                 cached: cached_flags[delivered],
                 result,
             };

@@ -230,46 +230,40 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, CodecError> {
     let n_cores = r.count_u32("core stats count", CORE_WORDS * 8)?;
     let mut cores = Vec::with_capacity(n_cores);
     for _ in 0..n_cores {
+        let w = r.u64_array::<CORE_WORDS>("core stats")?;
         cores.push(CoreStats {
-            instructions: r.u64("core stats")?,
-            done_cycle: r.u64("core stats")?,
-            stall_cycles: [
-                r.u64("core stats")?,
-                r.u64("core stats")?,
-                r.u64("core stats")?,
-            ],
-            barrier_cycles: r.u64("core stats")?,
-            l1_accesses: r.u64("core stats")?,
-            l1_misses: [
-                r.u64("core stats")?,
-                r.u64("core stats")?,
-                r.u64("core stats")?,
-            ],
-            l1_hits: r.u64("core stats")?,
-            mem_latency_sum: r.u64("core stats")?,
-            mem_latency_count: r.u64("core stats")?,
-            walk_stall_cycles: r.u64("core stats")?,
+            instructions: w[0],
+            done_cycle: w[1],
+            stall_cycles: [w[2], w[3], w[4]],
+            barrier_cycles: w[5],
+            l1_accesses: w[6],
+            l1_misses: [w[7], w[8], w[9]],
+            l1_hits: w[10],
+            mem_latency_sum: w[11],
+            mem_latency_count: w[12],
+            walk_stall_cycles: w[13],
         });
     }
 
     let n_prefetch = r.count_u32("prefetch stats count", PREFETCH_WORDS * 8)?;
     let mut prefetch = Vec::with_capacity(n_prefetch);
     for _ in 0..n_prefetch {
+        let w = r.u64_array::<PREFETCH_WORDS>("prefetch stats")?;
         prefetch.push(PrefetchStats {
-            issued_stream: r.u64("prefetch stats")?,
-            issued_indirect: r.u64("prefetch stats")?,
-            useful: r.u64("prefetch stats")?,
-            unused: r.u64("prefetch stats")?,
-            late: r.u64("prefetch stats")?,
-            covered: r.u64("prefetch stats")?,
-            patterns_detected: r.u64("prefetch stats")?,
-            detect_failures: r.u64("prefetch stats")?,
-            partial_prefetches: r.u64("prefetch stats")?,
-            value_unavailable: r.u64("prefetch stats")?,
-            deferred_drops: r.u64("prefetch stats")?,
-            deferred_retries: r.u64("prefetch stats")?,
-            mshr_drops: r.u64("prefetch stats")?,
-            generated_indirect: r.u64("prefetch stats")?,
+            issued_stream: w[0],
+            issued_indirect: w[1],
+            useful: w[2],
+            unused: w[3],
+            late: w[4],
+            covered: w[5],
+            patterns_detected: w[6],
+            detect_failures: w[7],
+            partial_prefetches: w[8],
+            value_unavailable: w[9],
+            deferred_drops: w[10],
+            deferred_retries: w[11],
+            mshr_drops: w[12],
+            generated_indirect: w[13],
         });
     }
 
@@ -283,12 +277,13 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, CodecError> {
         .collect::<Result<_, _>>()?;
     let tlb_l2 = decode_tlb(r)?;
 
+    let w = r.u64_array::<5>("traffic stats")?;
     let traffic = TrafficStats {
-        noc_flit_hops: r.u64("traffic stats")?,
-        noc_messages: r.u64("traffic stats")?,
-        dram_read_bytes: r.u64("traffic stats")?,
-        dram_write_bytes: r.u64("traffic stats")?,
-        dram_accesses: r.u64("traffic stats")?,
+        noc_flit_hops: w[0],
+        noc_messages: w[1],
+        dram_read_bytes: w[2],
+        dram_write_bytes: w[3],
+        dram_accesses: w[4],
     };
 
     Ok(SystemStats {
@@ -303,16 +298,17 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, CodecError> {
 }
 
 fn decode_tlb(r: &mut Reader<'_>) -> Result<TlbStats, CodecError> {
+    let w = r.u64_array::<TLB_WORDS>("tlb stats")?;
     Ok(TlbStats {
-        hits: r.u64("tlb stats")?,
-        misses: r.u64("tlb stats")?,
-        evictions: r.u64("tlb stats")?,
-        cold_fills: r.u64("tlb stats")?,
-        walk_cycles: r.u64("tlb stats")?,
-        walk_levels: r.u64("tlb stats")?,
-        prefetch_hits: r.u64("tlb stats")?,
-        prefetch_drops: r.u64("tlb stats")?,
-        prefetch_walks: r.u64("tlb stats")?,
+        hits: w[0],
+        misses: w[1],
+        evictions: w[2],
+        cold_fills: w[3],
+        walk_cycles: w[4],
+        walk_levels: w[5],
+        prefetch_hits: w[6],
+        prefetch_drops: w[7],
+        prefetch_walks: w[8],
     })
 }
 

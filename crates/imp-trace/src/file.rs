@@ -20,7 +20,9 @@
 //! | checksum | `u64` FNV-1a over everything before it |
 //!
 //! Each op encodes as `addr:u64, pc:u32, kind:u8, size:u8, class:u8,
-//! dep:u8` — the same 16 bytes the in-memory [`Op`] occupies.
+//! dep:u8` — the same 16 bytes the in-memory [`Op`] occupies. The
+//! framing and every bounds-checked read come from
+//! [`imp_common::codec`].
 //!
 //! ```
 //! use imp_trace::{file::TraceFile, Op, Program};
