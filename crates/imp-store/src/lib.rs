@@ -17,8 +17,8 @@
 //! a *miss*, never as garbage data), a record of any other version is a
 //! miss, and the verbatim canonical string catches a digest collision —
 //! or a stale record hashed under an older canonical scheme — by direct
-//! comparison, not trust. The crate names no configuration type: the
-//! canonical string already renders every knob.
+//! comparison, not trust. A record carries no configuration values:
+//! the canonical string already renders every knob.
 //!
 //! ```
 //! use imp_store::{cell_digest, digest_hex, ResultStore, StoredResult};
