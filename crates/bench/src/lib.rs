@@ -20,7 +20,9 @@ use imp_workloads::Scale;
 /// human-readable rows so CI can archive the numbers; a failed write
 /// warns instead of failing the bench. The JSON carries a
 /// `"provenance"` object (git SHA, rustc version, host core count) so
-/// archived snapshots stay comparable across machines and revisions.
+/// archived snapshots stay comparable across machines and revisions,
+/// and the process's peak resident memory so far (`peak_rss_mb`), which
+/// covers the grids the bench ran before emitting.
 pub fn emit_snapshot(name: &str, table: &imp_experiments::Table) -> std::path::PathBuf {
     let dir = std::env::var_os("IMP_BENCH_DIR")
         .map_or_else(|| std::path::PathBuf::from("."), std::path::PathBuf::from);
@@ -48,8 +50,9 @@ fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
 }
 
 /// The `"provenance"` object embedded in every snapshot: where and
-/// from what the numbers came. Every field degrades to `"unknown"`
-/// rather than failing the bench (e.g. outside a git checkout).
+/// from what the numbers came, and the memory it took. Every string
+/// field degrades to `"unknown"` and `peak_rss_mb` to `null` rather
+/// than failing the bench (e.g. outside a git checkout, or off Linux).
 fn provenance_json() -> String {
     fn escape(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -58,11 +61,21 @@ fn provenance_json() -> String {
     let sha = command_line("git", &["rev-parse", "HEAD"]).unwrap_or_else(unknown);
     let rustc = command_line("rustc", &["-V"]).unwrap_or_else(unknown);
     let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let rss = peak_rss_mb().map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"));
     format!(
-        "{{\"git_sha\":\"{}\",\"rustc\":\"{}\",\"host_cores\":{cores}}}",
+        "{{\"git_sha\":\"{}\",\"rustc\":\"{}\",\"host_cores\":{cores},\"peak_rss_mb\":{rss}}}",
         escape(&sha),
         escape(&rustc)
     )
+}
+
+/// Peak resident memory of this process so far, in MiB: the kernel's
+/// `VmHWM` high-water mark from `/proc/self/status`.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Core counts for multi-panel figures, from `IMP_BENCH_CORES` or the
@@ -141,8 +154,21 @@ mod tests {
         std::env::remove_var("IMP_BENCH_DIR");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"provenance\""), "{json}");
-        for key in ["\"git_sha\":", "\"rustc\":", "\"host_cores\":"] {
+        for key in [
+            "\"git_sha\":",
+            "\"rustc\":",
+            "\"host_cores\":",
+            "\"peak_rss_mb\":",
+        ] {
             assert!(json.contains(key), "missing {key}: {json}");
+        }
+        let rss = json.split("\"peak_rss_mb\":").nth(1).unwrap();
+        let rss = rss.trim_end_matches('}');
+        if cfg!(target_os = "linux") {
+            let mb: f64 = rss.parse().unwrap_or_else(|e| panic!("{rss}: {e}"));
+            assert!(mb > 0.0, "a running process has resident memory: {json}");
+        } else {
+            assert!(rss == "null" || rss.parse::<f64>().is_ok(), "{json}");
         }
         assert!(
             !json.contains("\"host_cores\":0"),

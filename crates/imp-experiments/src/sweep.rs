@@ -19,11 +19,14 @@
 //! and software-prefetch distance — each group's
 //! [`imp_workloads::BuiltArtifact`] is built exactly once, and the
 //! hardware-only variants fan out over the shared artifact
-//! ([`Sim::run_on`]). The same engine runs the paper-figure drivers'
-//! grids, which mix software prefetching with hardware configurations
-//! of one application. Because artifacts are immutable to the
-//! simulator, the statistics are bit-identical to rebuilding per cell;
-//! only the wall-clock changes.
+//! ([`Sim::run_on`]). Memory stays bounded by the worker count, not the
+//! grid: workers take cells group by group, the first to reach a group
+//! builds its artifact, and the group's last cell drops it, so a run
+//! holds at most one artifact per worker thread. The same engine runs
+//! the paper-figure drivers' grids, which mix software prefetching with
+//! hardware configurations of one application. Because artifacts are
+//! immutable to the simulator, the statistics are bit-identical to
+//! rebuilding per cell; only the wall-clock changes.
 //!
 //! ```
 //! use imp_experiments::{Sim, Sweep};
@@ -50,7 +53,7 @@ use imp_workloads::BuiltArtifact;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One point of the sweep grid: the coordinates a cell was simulated
 /// at ([`Sim::cell`] builds it). The *identity* of a cell is its
@@ -162,6 +165,8 @@ pub struct SweepReport {
     /// store, if any. Results are still returned — the cost of a failed
     /// write is a re-simulation next run, never lost work.
     pub store_error: Option<String>,
+    /// Built inputs held at once during the run, and at its end.
+    pub(crate) artifacts: ArtifactCount,
 }
 
 /// A config-grid runner over a template [`Sim`]. See the module docs.
@@ -478,9 +483,11 @@ impl Sweep {
     /// away the completed rest of the grid. With [`Sweep::store`] set,
     /// this is [`Sweep::run_with`] against that store.
     ///
-    /// Each distinct (workload, cores, seed) input is built exactly once
-    /// and shared read-only across the cells that use it; a failed build
-    /// is reported by every cell of its group.
+    /// Each distinct (workload, cores, seed) input is built exactly once,
+    /// when the first of its cells runs, shared read-only across the
+    /// cells that use it, and dropped after the last of them: at most
+    /// one artifact per worker thread is alive at a time. A failed build
+    /// is reported by every cell of its group, and by no other cell.
     ///
     /// # Errors
     ///
@@ -544,8 +551,10 @@ impl Sweep {
 /// `threads` workers (default: available parallelism), serving cells
 /// already in `store` and persisting fresh ones. Without a store every
 /// cell is a miss. Cells sharing an input ([`input_groups`]) run over one
-/// built artifact, and cells sharing a canonical input run once (see
-/// [`SweepReport`] for how the repeats count). `observe` attaches an
+/// built artifact, built lazily and dropped after the group's last cell
+/// ([`Artifacts`]), so at most `threads` artifacts are alive at once;
+/// cells sharing a canonical input run once (see [`SweepReport`] for
+/// how the repeats count). `observe` attaches an
 /// [`ObsSummary`] to every freshly simulated cell. Outcomes stream to
 /// `on_cell` in `sims` order.
 ///
@@ -615,17 +624,20 @@ where
         .filter(|&i| slots[i].is_none() && first_of[i].is_none())
         .collect();
 
-    // Build phase: only the groups that still have missing cells,
-    // each from its first missing cell's builder.
+    // Only the groups that still have missing cells are built, each
+    // from its first missing cell's builder, and only when a worker
+    // reaches it: workers take the missing cells group by group, so at
+    // most one group per worker is in flight and each artifact is
+    // dropped after its group's last cell (see `Artifacts`).
     let threads = threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(1)
     });
     let (groups, group_of) = input_groups(missing.iter().map(|&i| &sims[i]));
-    let artifacts = fanout(groups.len(), threads, |g| {
-        sims[missing[groups[g]]].build_artifact()
-    });
+    let mut work: Vec<usize> = (0..missing.len()).collect();
+    work.sort_by_key(|&k| group_of[k]); // stable: cell order within a group
+    let artifacts = Artifacts::new(groups.len(), &group_of);
 
     // Simulate the missing cells across workers while the calling
     // thread delivers outcomes in deterministic cell order; a
@@ -637,6 +649,7 @@ where
         simulated: 0,
         failed: 0,
         store_error: None,
+        artifacts: ArtifactCount::default(),
     };
     let mut delivered = 0;
     let mut flush = |slots: &mut [Option<CellRun>]| {
@@ -681,12 +694,14 @@ where
         }
     };
     flush(&mut slots);
-    let simulate = |k: usize| {
-        let (i, sim) = (missing[k], &sims[missing[k]]);
-        let outcome = artifacts[group_of[k]]
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|artifact| run_cell(sim, artifact, observe));
+    let simulate = |w: usize| {
+        let k = work[w];
+        let (i, sim, g) = (missing[k], &sims[missing[k]], group_of[k]);
+        let outcome = artifacts.run(
+            g,
+            || sims[missing[groups[g]]].build_artifact(),
+            |artifact| run_cell(sim, artifact, observe),
+        );
         if let (Some(store), Ok((stats, _))) = (store, &outcome) {
             let record = StoredResult {
                 canonical: canonicals[i].clone(),
@@ -706,7 +721,90 @@ where
         flush(&mut slots);
     });
     report.store_error = store_error.into_inner().expect("store-error slot");
+    report.artifacts = artifacts.count();
     Ok(report)
+}
+
+/// A grid's built inputs: each group's artifact is built by the first
+/// cell that needs it and dropped when the group's last cell finishes.
+struct Artifacts {
+    groups: Vec<Mutex<Group>>,
+    count: Mutex<ArtifactCount>,
+}
+
+/// One input group's share of [`Artifacts`].
+struct Group {
+    /// The artifact (or its build error) while a cell may still need it.
+    artifact: Option<Arc<Result<BuiltArtifact, SimError>>>,
+    /// Cells of the group not yet finished.
+    remaining: usize,
+}
+
+/// How many artifacts a run held at once, and how many it still held
+/// when it ended (read by the tests that pin the live-artifact bound).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ArtifactCount {
+    pub(crate) peak: usize,
+    pub(crate) live: usize,
+}
+
+const POISONED: &str = "no artifact build or cell panicked";
+
+impl Artifacts {
+    fn new(groups: usize, group_of: &[usize]) -> Self {
+        let mut remaining = vec![0; groups];
+        for &g in group_of {
+            remaining[g] += 1;
+        }
+        Artifacts {
+            groups: remaining
+                .into_iter()
+                .map(|remaining| {
+                    Mutex::new(Group {
+                        artifact: None,
+                        remaining,
+                    })
+                })
+                .collect(),
+            count: Mutex::new(ArtifactCount::default()),
+        }
+    }
+
+    /// Runs one cell of group `g`: `f` over the group's artifact, which
+    /// `build` makes first if no cell of the group has (other cells of
+    /// the group wait for that build); a failed build is the cell's
+    /// error. The group's last cell drops the artifact.
+    fn run<T>(
+        &self,
+        g: usize,
+        build: impl FnOnce() -> Result<BuiltArtifact, SimError>,
+        f: impl FnOnce(&BuiltArtifact) -> Result<T, SimError>,
+    ) -> Result<T, SimError> {
+        let artifact = {
+            let mut group = self.groups[g].lock().expect(POISONED);
+            let artifact = group.artifact.get_or_insert_with(|| {
+                let mut count = self.count.lock().expect(POISONED);
+                count.live += 1;
+                count.peak = count.peak.max(count.live);
+                drop(count);
+                Arc::new(build())
+            });
+            Arc::clone(artifact)
+        };
+        let out = artifact.as_ref().as_ref().map_err(Clone::clone).and_then(f);
+        drop(artifact);
+        let mut group = self.groups[g].lock().expect(POISONED);
+        group.remaining -= 1;
+        if group.remaining == 0 {
+            group.artifact = None;
+            self.count.lock().expect(POISONED).live -= 1;
+        }
+        out
+    }
+
+    fn count(&self) -> ArtifactCount {
+        *self.count.lock().expect(POISONED)
+    }
 }
 
 /// Runs one cell over its shared artifact, observing when `observe`
@@ -787,21 +885,6 @@ where
         drop(tx);
         rx.into_iter().for_each(|(i, value)| deliver(i, value));
     });
-}
-
-/// Runs `f(0..n)` on up to `threads` scoped workers; results come back
-/// in index order.
-pub(crate) fn fanout<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    pool(n, threads, f, |i, value| slots[i] = Some(value));
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("worker filled slot"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -984,12 +1067,57 @@ mod tests {
         assert_eq!(inherited[0].page_policy.len(), 1);
     }
 
+    /// Eight workloads, each one input group of two cells.
+    fn eight_groups() -> Sweep {
+        Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
+            .workloads([
+                "spmv",
+                "pagerank",
+                "sgd",
+                "symgs",
+                "graph500",
+                "lsh",
+                "tri_count",
+                "hashjoin",
+            ])
+            .prefetchers(["none", "imp"])
+    }
+
     #[test]
-    fn fanout_preserves_index_order() {
-        let out = fanout(17, 4, |i| i * 3);
-        assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(fanout(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(fanout(3, 1, |i| i), vec![0, 1, 2]);
+    fn a_sweep_holds_at_most_one_artifact_per_worker() {
+        let report = eight_groups().threads(2).run_in(None, |_| {}).unwrap();
+        assert_eq!((report.simulated, report.failed), (16, 0));
+        let ArtifactCount { peak, live } = report.artifacts;
+        assert!((1..=2).contains(&peak), "2 workers held {peak} artifacts");
+        assert_eq!(live, 0, "every artifact is dropped after its last cell");
+
+        let inline = eight_groups().threads(1).run_in(None, |_| {}).unwrap();
+        let expect = ArtifactCount { peak: 1, live: 0 };
+        assert_eq!(inline.artifacts, expect, "one worker holds exactly one");
+        for (a, b) in report.results.iter().zip(&inline.results) {
+            assert_eq!(a.as_ref().unwrap().stats, b.as_ref().unwrap().stats);
+        }
+    }
+
+    #[test]
+    fn an_unbuildable_group_fails_only_its_own_cells() {
+        let report = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
+            .workloads(["spmv", "no-such-workload", "dense"])
+            .prefetchers(["none", "imp"])
+            .threads(2)
+            .run_in(None, |_| {})
+            .unwrap();
+        assert_eq!((report.simulated, report.failed), (4, 2));
+        for (i, result) in report.results.iter().enumerate() {
+            match result {
+                Err(e) => {
+                    assert!((2..4).contains(&i), "cell {i} failed: {e}");
+                    assert!(matches!(e.error, SimError::UnknownWorkload(_)), "{e}");
+                }
+                Ok(_) => assert!(!(2..4).contains(&i), "cell {i} ran"),
+            }
+        }
+        assert_eq!(report.artifacts.live, 0, "the failed build is dropped too");
     }
 
     #[test]

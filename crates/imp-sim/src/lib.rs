@@ -99,6 +99,28 @@ mod tests {
     }
 
     #[test]
+    fn systems_share_the_frozen_streams() {
+        let (mut p, mem, _) = indirect_program(16, 50, false);
+        p.freeze();
+        // The temporary `Arc` each call returns counts once in every
+        // reading, so only the systems' own references move the count.
+        let counts = |p: &mut Program| -> Vec<usize> {
+            (0..16).map(|c| Arc::strong_count(&p.stream(c))).collect()
+        };
+        let before = counts(&mut p);
+        let cfg = SystemConfig::paper_default(16);
+        let in_order = System::new(cfg.clone(), p.clone(), mem.clone());
+        let one: Vec<usize> = before.iter().map(|n| n + 1).collect();
+        assert_eq!(counts(&mut p), one, "one reference per core, no copy");
+        let ooo_cfg = cfg.with_core_model(imp_common::config::CoreModel::OutOfOrder);
+        let ooo = System::new(ooo_cfg, p.clone(), mem);
+        let two: Vec<usize> = before.iter().map(|n| n + 2).collect();
+        assert_eq!(counts(&mut p), two, "the OoO cores share them too");
+        drop((in_order, ooo));
+        assert_eq!(counts(&mut p), before, "dropping the systems releases them");
+    }
+
+    #[test]
     fn ideal_mode_is_pure_compute() {
         let (p, mem, n) = indirect_program(16, 200, false);
         let total = p.total_instructions();

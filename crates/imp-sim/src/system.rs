@@ -1518,14 +1518,12 @@ impl System {
 
         let cores: Vec<Box<dyn CoreEngine>> = (0..n)
             .map(|c| -> Box<dyn CoreEngine> {
-                let lanes = program.lanes(c); // shared, not copied
+                let ops = program.stream(c); // shared, not copied
                 match cfg.core_model {
-                    CoreModel::InOrder => Box::new(InOrderCore::from_lanes(c as u32, lanes)),
-                    CoreModel::OutOfOrder => Box::new(OooCore::from_lanes(
-                        c as u32,
-                        lanes,
-                        cfg.rob_entries as usize,
-                    )),
+                    CoreModel::InOrder => Box::new(InOrderCore::new(c as u32, ops)),
+                    CoreModel::OutOfOrder => {
+                        Box::new(OooCore::new(c as u32, ops, cfg.rob_entries as usize))
+                    }
                 }
             })
             .collect();
